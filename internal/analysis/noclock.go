@@ -20,9 +20,8 @@ import (
 // Two escape hatches:
 //
 //   - noclock_allow.txt (embedded) lists the legitimate wall-clock sites by
-//     file base name and function: tcp.go's dial-retry deadline loop and
-//     the advisory heartbeat machinery, which talk to real sockets and
-//     never feed a deterministic result.
+//     file base name and function: tcp.go's advisory heartbeat machinery,
+//     which talks to real sockets and never feeds a deterministic result.
 //   - `//em2:wallclock-ok: <why>` on the line for one-off sites outside
 //     tcp.go (cluster.go's heartbeat-age summary, which only decorates a
 //     timeout error message).

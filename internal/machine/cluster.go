@@ -452,6 +452,8 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 	for t := range threads {
 		regs[t] = threads[t].Regs
 	}
+	// The ack barrier turns a node's load failure into its actual error
+	// message and guarantees every data plane is open before injection.
 	if err := co.Load(&transport.LoadSpec{
 		GuestContexts: cfg.GuestContexts,
 		Quantum:       cfg.Quantum,
@@ -462,12 +464,7 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 		Programs:      programs,
 		Regs:          regs,
 		Mem:           mem,
-	}); err != nil {
-		return nil, err
-	}
-	// The ack barrier turns a node's load failure into its actual error
-	// message and guarantees every data plane is open before injection.
-	if err := co.AwaitLoadAcks(cfg.Timeout); err != nil {
+	}, cfg.Timeout); err != nil {
 		return nil, err
 	}
 

@@ -142,18 +142,15 @@ func TestServeNodeReportsLoadError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if err := co.Load(&transport.LoadSpec{
+	err = co.Load(&transport.LoadSpec{
 		Scheme:     "bogus-scheme",
 		Placement:  "striped:64",
 		NumThreads: 1,
 		Programs:   [][]uint32{{0}},
 		Regs:       []map[int]uint32{nil},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	err = co.AwaitLoadAcks(10 * time.Second)
+	}, 10*time.Second)
 	if err == nil {
-		t.Fatal("AwaitLoadAcks succeeded despite an unloadable spec")
+		t.Fatal("Load succeeded despite an unloadable spec")
 	}
 	if !strings.Contains(err.Error(), "bogus-scheme") {
 		t.Fatalf("load failure surfaced as %q, want the node's actual parse error", err)
@@ -245,7 +242,7 @@ func TestServeNodeAbortsMidRun(t *testing.T) {
 		NumThreads: 1,
 		Programs:   programs,
 		Regs:       []map[int]uint32{nil},
-	}); err != nil {
+	}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := co.InjectEviction(geom.CoreID(0), transport.Context{Thread: 0, Native: 0}); err != nil {

@@ -166,6 +166,8 @@ func NewClusterBackend(cfg Config, man transport.Manifest) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The ack barrier surfaces a node's actual load failure here instead
+	// of as a bare connection death on the first job.
 	err = co.Load(&transport.LoadSpec{
 		Serve:      true,
 		Quantum:    cfg.Quantum,
@@ -173,12 +175,7 @@ func NewClusterBackend(cfg Config, man transport.Manifest) (Backend, error) {
 		Placement:  cfg.Placement,
 		LogEvents:  true,
 		NumThreads: slots,
-	})
-	if err == nil {
-		// The ack barrier surfaces a node's actual load failure here
-		// instead of as a bare connection death on the first job.
-		err = co.AwaitLoadAcks(cfg.Timeout)
-	}
+	}, cfg.Timeout)
 	if err != nil {
 		co.Shutdown()
 		co.Close()

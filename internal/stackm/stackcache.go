@@ -5,8 +5,7 @@ import (
 )
 
 // Backing is the stack memory that backs a StackCache — under stack-EM² it
-// lives at the thread's native core. The interpreter in internal/stackisa
-// plugs a memory shard in here; tests use an in-memory slice.
+// lives at the thread's native core. Tests use an in-memory slice.
 type Backing interface {
 	// StackRead returns the word at stack slot idx (0 = bottom).
 	StackRead(idx int) uint32

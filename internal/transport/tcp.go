@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"sort"
@@ -344,19 +345,19 @@ func (p *peerSlot) get(cancel <-chan struct{}) (*conn, error) {
 	}
 }
 
-// dialRetry dials addr until it succeeds or the deadline passes — node and
-// coordinator processes start in arbitrary order.
-func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(timeout)
+// dialRetry dials addr every 20 ms until it answers or stop closes — node
+// and coordinator processes start in arbitrary order.
+func dialRetry(addr string, stop <-chan struct{}) (net.Conn, error) {
 	for {
-		c, err := net.DialTimeout("tcp", addr, timeout)
+		c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 		if err == nil {
 			return c, nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-stop:
 			return nil, fmt.Errorf("transport: dial %s: %v", addr, err)
+		case <-time.After(20 * time.Millisecond):
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -657,32 +658,16 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 // long "any order" stretches is the operator's business (the coordinator's
 // run timeout bounds the overall wait).
 func (n *Node) dialPeer(j int) {
-	var c net.Conn
-	for {
-		var err error
-		c, err = net.DialTimeout("tcp", n.man.Nodes[j].Addr, 2*time.Second)
-		if err == nil {
-			break
-		}
-		select {
-		case <-n.shutdown:
-			return
-		case <-time.After(20 * time.Millisecond):
-		}
-		if n.closed.Load() {
-			return
-		}
+	c, err := dialRetry(n.man.Nodes[j].Addr, n.shutdown)
+	if err != nil {
+		return
 	}
 	cc := newConn(c, &n.nc)
-	if err := cc.w.appendKind(FrameHello, int32(n.idx)); err != nil {
+	if cc.w.appendKind(FrameHello, int32(n.idx)) != nil || !n.peers[j].set(cc) {
 		c.Close()
 		return
 	}
-	if !n.peers[j].set(cc) {
-		c.Close()
-		return
-	}
-	err := readBatches(cc.br, &n.nc, func(f Frame) error { return n.handleFrame(cc, f) })
+	err = readBatches(cc.br, &n.nc, func(f Frame) error { return n.handleFrame(cc, f) })
 	n.finishRead(cc, err, false, true)
 	c.Close()
 }
@@ -741,45 +726,27 @@ func (n *Node) ShutdownC() <-chan struct{} { return n.shutdown }
 
 // SendHalt reports a thread HALT to the coordinator. Control frames flush
 // immediately.
-func (n *Node) SendHalt(h HaltMsg) error {
-	c, err := n.coord.get(n.shutdown)
-	if err != nil {
-		return err
-	}
-	return c.sendJSON(FrameHalt, &h)
-}
-
-// SendCollect returns this node's post-run state to the coordinator.
-func (n *Node) SendCollect(rep CollectReply) error {
-	c, err := n.coord.get(n.shutdown)
-	if err != nil {
-		return err
-	}
-	return c.sendJSON(FrameCollectRep, &rep)
-}
+func (n *Node) SendHalt(h HaltMsg) error { return n.sendCoord(FrameHalt, &h) }
 
 // SendLoadAck reports the outcome of installing the LoadSpec: success
 // after the node's data plane is open, or the actual failure message —
 // so the coordinator surfaces "bad scheme name" instead of a bare
 // connection death.
-func (n *Node) SendLoadAck(ack LoadAck) error {
-	c, err := n.coord.get(n.shutdown)
-	if err != nil {
-		return err
-	}
-	return c.sendJSON(FrameLoadAck, &ack)
-}
+func (n *Node) SendLoadAck(ack LoadAck) error { return n.sendCoord(FrameLoadAck, &ack) }
 
 // SendCollectChunk streams one increment of the node's post-run state.
 // The node sends per-core chunks as it drains and a final Done chunk
 // carrying its aggregates; the coordinator reassembles them in arrival
 // order (per-connection FIFO makes that the send order).
-func (n *Node) SendCollectChunk(ch CollectChunk) error {
+func (n *Node) SendCollectChunk(ch CollectChunk) error { return n.sendCoord(FrameCollectChunk, &ch) }
+
+// sendCoord ships one control frame to the coordinator.
+func (n *Node) sendCoord(kind FrameKind, v any) error {
 	c, err := n.coord.get(n.shutdown)
 	if err != nil {
 		return err
 	}
-	return c.sendJSON(FrameCollectChunk, &ch)
+	return c.sendJSON(kind, v)
 }
 
 // StartHeartbeat begins the node's liveness/metrics heartbeat toward the
@@ -799,17 +766,13 @@ func (n *Node) StartHeartbeat(interval time.Duration) {
 					return
 				case <-tick.C:
 				}
-				c, err := n.coord.get(n.shutdown)
-				if err != nil {
-					return
-				}
 				seq++
 				hb := Heartbeat{Node: n.idx, Seq: seq, Net: n.nc.snapshot()}
 				if n.sampleH != nil {
 					s := n.sampleH()
 					hb.Sample = &s
 				}
-				if err := c.sendJSON(FrameHeartbeat, &hb); err != nil {
+				if err := n.sendCoord(FrameHeartbeat, &hb); err != nil {
 					return
 				}
 			}
@@ -1004,18 +967,17 @@ func (n *Node) SendLeaseInval(inv LeaseInval) error {
 // mode it additionally broadcasts JobSubmit/JobDone frames and gathers the
 // per-node acks.
 type Coordinator struct {
-	man      Manifest
-	route    []int
-	conns    []*conn
-	nc       netCounters
-	halts    chan HaltMsg
-	colls    chan CollectReply
-	jobAcks  chan JobAck
-	loadAcks chan LoadAck
-	retired  chan JobRetired
-	samples  chan NodeSample
-	deaths   chan error
-	down     atomic.Bool // set by Shutdown/Close: reader exits become orderly
+	man    Manifest
+	route  []int
+	conns  []*conn
+	nc     netCounters
+	halts  chan HaltMsg
+	deaths chan error
+	down   atomic.Bool // set by Shutdown/Close: reader exits become orderly
+
+	gmu     sync.Mutex   // one gather at a time, so each node's pending order is its request order
+	mu      sync.Mutex   // guards pending
+	pending [][]*barrier // per node, the barriers it has yet to answer, oldest first
 
 	hbMu sync.Mutex
 	hb   map[int]HeartbeatInfo
@@ -1039,40 +1001,33 @@ func DialCluster(man Manifest, timeout time.Duration) (*Coordinator, error) {
 		return nil, err
 	}
 	co := &Coordinator{
-		man:      man,
-		route:    man.routes(),
-		conns:    make([]*conn, len(man.Nodes)),
-		halts:    make(chan HaltMsg, 4096),
-		colls:    make(chan CollectReply, len(man.Nodes)),
-		jobAcks:  make(chan JobAck, len(man.Nodes)),
-		loadAcks: make(chan LoadAck, len(man.Nodes)),
-		retired:  make(chan JobRetired, len(man.Nodes)),
-		samples:  make(chan NodeSample, len(man.Nodes)),
-		deaths:   make(chan error, len(man.Nodes)),
-		hb:       make(map[int]HeartbeatInfo),
+		man:     man,
+		route:   man.routes(),
+		conns:   make([]*conn, len(man.Nodes)),
+		halts:   make(chan HaltMsg, 4096),
+		deaths:  make(chan error, len(man.Nodes)),
+		pending: make([][]*barrier, len(man.Nodes)),
+		hb:      make(map[int]HeartbeatInfo),
 	}
+	stop := make(chan struct{})
+	deadline := time.AfterFunc(timeout, func() { close(stop) })
+	defer deadline.Stop()
 	for i, ns := range man.Nodes {
-		c, err := dialRetry(ns.Addr, timeout)
+		c, err := dialRetry(ns.Addr, stop)
+		if err == nil {
+			co.conns[i] = newConn(c, &co.nc)
+			err = co.conns[i].w.appendKind(FrameHello, coordinatorID)
+		}
 		if err != nil {
 			co.Close()
 			return nil, err
 		}
-		cc := newConn(c, &co.nc)
-		if err := cc.w.appendKind(FrameHello, coordinatorID); err != nil {
-			co.Close()
-			return nil, err
-		}
-		co.conns[i] = cc
-		go co.readLoop(i, cc)
+		go co.readLoop(i, co.conns[i])
 	}
 	return co, nil
 }
 
 func (co *Coordinator) readLoop(node int, c *conn) {
-	// acc reassembles this node's streamed CollectChunks. Chunks for node i
-	// arrive only on node i's connection, so the accumulator is local to
-	// this reader — no lock, no cross-node interleaving.
-	var acc *CollectReply
 	err := readBatches(c.br, &co.nc, func(f Frame) error {
 		switch f.Kind {
 		case FrameHalt:
@@ -1081,66 +1036,8 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 				return malformedf("halt report: %v", err)
 			}
 			co.halts <- h
-		case FrameCollectRep:
-			var rep CollectReply
-			if err := json.Unmarshal(f.Blob, &rep); err != nil {
-				return malformedf("collect reply: %v", err)
-			}
-			co.colls <- rep
-		case FrameCollectChunk:
-			var ch CollectChunk
-			if err := json.Unmarshal(f.Blob, &ch); err != nil {
-				return malformedf("collect chunk: %v", err)
-			}
-			if ch.Node != node {
-				return malformedf("collect chunk for node %d on node %d's connection", ch.Node, node)
-			}
-			if acc == nil {
-				acc = &CollectReply{Node: node, Mem: make(map[uint32]uint32)}
-			}
-			if ch.PerCore != nil {
-				acc.PerCore = append(acc.PerCore, *ch.PerCore)
-			}
-			acc.Events = append(acc.Events, ch.Events...)
-			//em2:unordered-ok: chunk memory slices are address-disjoint (single-home invariant); merge order cannot matter
-			for a, v := range ch.Mem {
-				acc.Mem[a] = v
-			}
-			if ch.Done {
-				acc.Counters = ch.Counters
-				acc.Net = ch.Net
-				co.colls <- *acc
-				acc = nil
-			}
-		case FrameJobAck:
-			var ack JobAck
-			if err := json.Unmarshal(f.Blob, &ack); err != nil {
-				return malformedf("job ack: %v", err)
-			}
-			co.jobAcks <- ack
-		case FrameLoadAck:
-			var ack LoadAck
-			if err := json.Unmarshal(f.Blob, &ack); err != nil {
-				return malformedf("load ack: %v", err)
-			}
-			co.loadAcks <- ack
-		case FrameJobRetired:
-			var ret JobRetired
-			if err := json.Unmarshal(f.Blob, &ret); err != nil {
-				return malformedf("job retired: %v", err)
-			}
-			co.retired <- ret
-		case FrameSampleRep:
-			var ns NodeSample
-			if err := json.Unmarshal(f.Blob, &ns); err != nil {
-				return malformedf("sample reply: %v", err)
-			}
-			select {
-			case co.samples <- ns:
-			default:
-				// A reply for a SampleCluster that already timed out; drop it
-				// rather than wedging the reader.
-			}
+		case FrameLoadAck, FrameJobAck, FrameJobRetired, FrameSampleRep, FrameCollectChunk:
+			return co.deliver(node, f.Kind, f.Blob)
 		case FrameHeartbeat:
 			var hb Heartbeat
 			if err := json.Unmarshal(f.Blob, &hb); err != nil {
@@ -1171,46 +1068,122 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 	}
 }
 
-// Load broadcasts the run description to every node. Follow with
-// AwaitLoadAcks to learn whether every node actually installed it.
-func (co *Coordinator) Load(spec *LoadSpec) error {
-	for _, c := range co.conns {
-		if err := c.sendJSON(FrameLoad, spec); err != nil {
-			return err
-		}
+// barrier is one gather as the connection readers see it. arrived queues
+// the nodes whose reply is complete, at most one entry per node, so a
+// delivery never blocks the reader.
+type barrier struct {
+	kind    FrameKind
+	put     func(node int, blob []byte) (done bool, err error)
+	arrived chan int
+}
+
+// deliver hands one reply frame from node to the oldest barrier that node
+// has yet to answer. A node answers its coordinator link in request order,
+// so a late reply to a gather that gave up lands in that abandoned barrier
+// and never satisfies a later one. A reply of the wrong kind or with no
+// barrier awaiting it is protocol corruption.
+func (co *Coordinator) deliver(node int, kind FrameKind, blob []byte) error {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	q := co.pending[node]
+	if len(q) == 0 || q[0].kind != kind {
+		return malformedf("unexpected kind %d reply from node %d", kind, node)
+	}
+	done, err := q[0].put(node, blob)
+	if err != nil {
+		return malformedf("kind %d reply from node %d: %v", kind, node, err)
+	}
+	if done {
+		q[0].arrived <- node
+		co.pending[node] = append(q[:0], q[1:]...)
 	}
 	return nil
 }
 
-// AwaitLoadAcks gathers one LoadAck per node: the barrier that turns a
-// node's load failure into its actual error message ("unknown scheme
-// …") instead of a bare connection death. A node that fails to load
-// sends its error ack and then exits, so when a death arrives the ack
-// that explains it may already be queued — pending acks are preferred
-// over deaths.
-func (co *Coordinator) AwaitLoadAcks(timeout time.Duration) error {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for acked := 0; acked < len(co.conns); acked++ {
-		var ack LoadAck
-		select {
-		case ack = <-co.loadAcks:
-		case err := <-co.deaths:
-			// The failing node's explanatory ack may have raced in ahead of
-			// its connection teardown; drain it before reporting the death.
-			select {
-			case ack = <-co.loadAcks:
-			default:
-				return err
-			}
-		case <-timer.C:
-			return fmt.Errorf("transport: load: %d of %d nodes acked before timeout", acked, len(co.conns))
+// decodeJSON is the merge of a reply that arrives as one JSON blob.
+func decodeJSON[T any](_ int, r *T, blob []byte) (bool, error) { return true, json.Unmarshal(blob, r) }
+
+// reply reports the job a barrier reply answers (0 when the barrier is not
+// about one job) and the error the node sent, if any.
+type reply interface{ status() (job int, err string) }
+
+func (a LoadAck) status() (int, string)      { return 0, a.Err }
+func (a JobAck) status() (int, string)       { return a.Job, a.Err }
+func (r JobRetired) status() (int, string)   { return r.Job, r.Err }
+func (s NodeSample) status() (int, string)   { return 0, s.Err }
+func (r CollectReply) status() (int, string) { return 0, "" }
+
+// gather is the coordinator's one barrier: it broadcasts req (body as its
+// JSON blob, or the kind byte alone when nil) and returns one kind-rep
+// reply per node, ordered by node, each assembled from its frames by
+// merge. It fails at the first reply with an error or the wrong job, a
+// node death, or the timeout. On a death the replies already queued are
+// checked first: a dying node's explanatory error wins over the bare
+// connection loss.
+func gather[T reply](co *Coordinator, what string, job int, req FrameKind, body any, rep FrameKind,
+	merge func(int, *T, []byte) (bool, error), timeout time.Duration) ([]T, error) {
+	co.gmu.Lock()
+	defer co.gmu.Unlock()
+	replies := make([]T, len(co.conns))
+	b := &barrier{kind: rep, arrived: make(chan int, len(co.conns)), put: func(i int, blob []byte) (bool, error) {
+		return merge(i, &replies[i], blob)
+	}}
+	check := func(i int) error {
+		switch got, msg := replies[i].status(); {
+		case got != job:
+			return fmt.Errorf("transport: %s: node %d answered job %d, want job %d", what, i, got, job)
+		case msg != "":
+			return fmt.Errorf("transport: %s: node %d failed: %s", what, i, msg)
 		}
-		if ack.Err != "" {
-			return fmt.Errorf("transport: node %d failed to load: %s", ack.Node, ack.Err)
+		return nil
+	}
+	for i, c := range co.conns {
+		co.mu.Lock()
+		co.pending[i] = append(co.pending[i], b)
+		co.mu.Unlock()
+		var err error
+		if body == nil {
+			err = c.w.appendKind(req, 0)
+		} else {
+			err = c.sendJSON(req, body)
+		}
+		if err != nil {
+			co.mu.Lock()
+			co.pending[i] = co.pending[i][:len(co.pending[i])-1] // never sent, so never answered
+			co.mu.Unlock()
+			return nil, err
 		}
 	}
-	return nil
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for left := len(replies); left > 0; left-- {
+		select {
+		case i := <-b.arrived:
+			if err := check(i); err != nil {
+				return nil, err
+			}
+		case death := <-co.deaths:
+			for len(b.arrived) > 0 {
+				if err := check(<-b.arrived); err != nil {
+					return nil, err
+				}
+			}
+			return nil, death
+		case <-timer.C:
+			return nil, fmt.Errorf("transport: %s: %d of %d nodes replied before timeout", what, len(replies)-left, len(replies))
+		}
+	}
+	return replies, nil
+}
+
+// Load broadcasts the run description to every node and gathers one
+// LoadAck per node: the barrier that turns a node's load failure into its
+// actual error message ("unknown scheme …") instead of a bare connection
+// death. A node acks success only once its data plane is open, so a nil
+// return also means every node is ready for injection.
+func (co *Coordinator) Load(spec *LoadSpec, timeout time.Duration) error {
+	_, err := gather(co, "load", 0, FrameLoad, spec, FrameLoadAck, decodeJSON[LoadAck], timeout)
+	return err
 }
 
 // Heartbeats snapshots the last heartbeat seen from each node, sorted by
@@ -1267,29 +1240,8 @@ func (co *Coordinator) Deaths() <-chan error { return co.deaths }
 // before that node installed the job's thread specs. Inject the job's
 // contexts only after SubmitJob returns nil.
 func (co *Coordinator) SubmitJob(spec *JobSpec, timeout time.Duration) error {
-	for _, c := range co.conns {
-		if err := c.sendJSON(FrameJobSubmit, spec); err != nil {
-			return err
-		}
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for acked := 0; acked < len(co.conns); acked++ {
-		select {
-		case ack := <-co.jobAcks:
-			if ack.Job != spec.Job {
-				return fmt.Errorf("transport: node %d acked job %d while job %d was submitting", ack.Node, ack.Job, spec.Job)
-			}
-			if ack.Err != "" {
-				return fmt.Errorf("transport: node %d rejected job %d: %s", ack.Node, spec.Job, ack.Err)
-			}
-		case err := <-co.deaths:
-			return err
-		case <-timer.C:
-			return fmt.Errorf("transport: job %d: %d of %d nodes acked before timeout", spec.Job, acked, len(co.conns))
-		}
-	}
-	return nil
+	_, err := gather(co, "job submit", spec.Job, FrameJobSubmit, spec, FrameJobAck, decodeJSON[JobAck], timeout)
+	return err
 }
 
 // RetireJob broadcasts a JobDone and gathers one JobRetired per node —
@@ -1299,29 +1251,13 @@ func (co *Coordinator) SubmitJob(spec *JobSpec, timeout time.Duration) error {
 // (removed from every node's shards; merge order is irrelevant because SC
 // checking orders events by home and sequence).
 func (co *Coordinator) RetireJob(d JobDone, timeout time.Duration) ([]Event, error) {
-	for _, c := range co.conns {
-		if err := c.sendJSON(FrameJobDone, &d); err != nil {
-			return nil, err
-		}
+	rets, err := gather(co, "job retire", d.Job, FrameJobDone, &d, FrameJobRetired, decodeJSON[JobRetired], timeout)
+	if err != nil {
+		return nil, err
 	}
 	var events []Event
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for retired := 0; retired < len(co.conns); retired++ {
-		select {
-		case ret := <-co.retired:
-			if ret.Job != d.Job {
-				return nil, fmt.Errorf("transport: node %d retired job %d while job %d was retiring", ret.Node, ret.Job, d.Job)
-			}
-			if ret.Err != "" {
-				return nil, fmt.Errorf("transport: node %d failed to retire job %d: %s", ret.Node, d.Job, ret.Err)
-			}
-			events = append(events, ret.Events...)
-		case err := <-co.deaths:
-			return nil, err
-		case <-timer.C:
-			return nil, fmt.Errorf("transport: job %d: %d of %d nodes retired before timeout", d.Job, retired, len(co.conns))
-		}
+	for _, ret := range rets {
+		events = append(events, ret.Events...)
 	}
 	return events, nil
 }
@@ -1333,39 +1269,16 @@ func (co *Coordinator) RetireJob(d JobDone, timeout time.Duration) ([]Event, err
 // run is live — the nodes answer on their reader goroutines without
 // touching the data plane.
 func (co *Coordinator) SampleCluster(timeout time.Duration) (Sample, error) {
-	// Drop replies stranded by an earlier timed-out request; the ones being
-	// gathered below must all answer this broadcast.
-	for {
-		select {
-		case <-co.samples:
-			continue
-		default:
-		}
-		break
-	}
-	for _, c := range co.conns {
-		if err := c.w.appendKind(FrameSampleReq, 0); err != nil {
-			return Sample{}, err
-		}
+	reps, err := gather(co, "sample", 0, FrameSampleReq, nil, FrameSampleRep, decodeJSON[NodeSample], timeout)
+	if err != nil {
+		return Sample{}, err
 	}
 	var merged Sample
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for got := 0; got < len(co.conns); got++ {
-		select {
-		case ns := <-co.samples:
-			if ns.Err != "" {
-				return Sample{}, fmt.Errorf("transport: node %d failed to sample: %s", ns.Node, ns.Err)
-			}
-			merged.Merge(ns.Sample)
-		case err := <-co.deaths:
-			return Sample{}, err
-		case <-timer.C:
-			return Sample{}, fmt.Errorf("transport: sample: %d of %d nodes replied before timeout", got, len(co.conns))
-		}
+	for _, ns := range reps {
+		merged.Merge(ns.Sample)
 	}
-	// Replies merge in arrival order; re-sort by core, carrying the aligned
-	// guest gauge along with its row.
+	// Nodes may own interleaved cores; re-sort by core, carrying the
+	// aligned guest gauge along with its row.
 	order := make([]int, len(merged.PerCore))
 	for i := range order {
 		order[i] = i
@@ -1390,26 +1303,34 @@ func (co *Coordinator) Sample() (Sample, error) {
 	return co.SampleCluster(30 * time.Second)
 }
 
-// Collect broadcasts the collect request and gathers one reply per node.
+// Collect broadcasts the collect request and gathers one reply per node,
+// ordered by node.
 func (co *Coordinator) Collect(timeout time.Duration) ([]CollectReply, error) {
-	for _, c := range co.conns {
-		if err := c.w.appendKind(FrameCollect, 0); err != nil {
-			return nil, err
-		}
+	return gather(co, "collect", 0, FrameCollect, nil, FrameCollectChunk, mergeChunk, timeout)
+}
+
+// mergeChunk folds one streamed CollectChunk into node's reply; the Done
+// chunk completes it.
+func mergeChunk(node int, rep *CollectReply, blob []byte) (bool, error) {
+	var ch CollectChunk
+	if err := json.Unmarshal(blob, &ch); err != nil {
+		return false, err
 	}
-	reps := make([]CollectReply, 0, len(co.conns))
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for len(reps) < len(co.conns) {
-		select {
-		case r := <-co.colls:
-			reps = append(reps, r)
-		case <-timer.C:
-			return nil, fmt.Errorf("transport: collect: %d of %d nodes replied", len(reps), len(co.conns))
-		}
+	if ch.Node != node {
+		return false, fmt.Errorf("collect chunk for node %d on node %d's connection", ch.Node, node)
 	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i].Node < reps[j].Node })
-	return reps, nil
+	if rep.Mem == nil {
+		rep.Node, rep.Mem = node, make(map[uint32]uint32)
+	}
+	if ch.PerCore != nil {
+		rep.PerCore = append(rep.PerCore, *ch.PerCore)
+	}
+	rep.Events = append(rep.Events, ch.Events...)
+	maps.Copy(rep.Mem, ch.Mem) // chunk memory slices are address-disjoint (single-home invariant)
+	if ch.Done {
+		rep.Counters, rep.Net = ch.Counters, ch.Net
+	}
+	return ch.Done, nil
 }
 
 // Shutdown tells every node to exit. Connection teardowns that follow are

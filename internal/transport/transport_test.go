@@ -143,6 +143,9 @@ func TestTCPNodesExchange(t *testing.T) {
 				return transport.MemReply{Value: req.Addr + req.Arg + uint32(core)}
 			})
 			n.Ready()
+			if err := n.SendLoadAck(transport.LoadAck{Node: 0}); err != nil {
+				return err
+			}
 			select {
 			case ctx := <-n.MigrationIn(0):
 				if ctx.Thread != 7 || ctx.MemSeq != 3 {
@@ -155,7 +158,7 @@ func TestTCPNodesExchange(t *testing.T) {
 				return fmt.Errorf("node 0: no migration arrived")
 			}
 			<-n.CollectRequests()
-			if err := n.SendCollect(transport.CollectReply{Node: 0, Counters: map[string]int64{"instructions": 11}}); err != nil {
+			if err := n.SendCollectChunk(transport.CollectChunk{Node: 0, Done: true, Counters: map[string]int64{"instructions": 11}}); err != nil {
 				return err
 			}
 			<-n.ShutdownC()
@@ -176,6 +179,9 @@ func TestTCPNodesExchange(t *testing.T) {
 			n.Prepare(spec.NumThreads)
 			n.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply { return transport.MemReply{} })
 			n.Ready()
+			if err := n.SendLoadAck(transport.LoadAck{Node: 1}); err != nil {
+				return err
+			}
 			rep, err := n.Remote(0, transport.MemRequest{Thread: 7, Op: transport.OpRead, Addr: 40, Arg: 2})
 			if err != nil {
 				return err
@@ -195,7 +201,7 @@ func TestTCPNodesExchange(t *testing.T) {
 				return err
 			}
 			<-n.CollectRequests()
-			if err := n.SendCollect(transport.CollectReply{Node: 1, Counters: map[string]int64{"instructions": 31}}); err != nil {
+			if err := n.SendCollectChunk(transport.CollectChunk{Node: 1, Done: true, Counters: map[string]int64{"instructions": 31}}); err != nil {
 				return err
 			}
 			<-n.ShutdownC()
@@ -208,7 +214,7 @@ func TestTCPNodesExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if err := co.Load(&transport.LoadSpec{NumThreads: 8}); err != nil {
+	if err := co.Load(&transport.LoadSpec{NumThreads: 8}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	select {
