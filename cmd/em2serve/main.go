@@ -32,7 +32,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/machine"
@@ -113,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var be serve.Backend
-	var nodeWG sync.WaitGroup
+	var wait func() error // self-hosted nodes only
 	switch *tr {
 	case "channel":
 		var err error
@@ -121,10 +120,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	case "tcp":
-		man, err := serveManifest(cfg, *manifest, *nodes, &nodeWG, stderr)
+		man, w, err := serveManifest(cfg, *manifest, *nodes)
 		if err != nil {
 			return fail(err)
 		}
+		wait = w
 		if be, err = serve.NewClusterBackend(cfg, man); err != nil {
 			return fail(err)
 		}
@@ -134,7 +134,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rep, err := serve.Run(cfg, be)
 	be.Close()
-	nodeWG.Wait()
+	if wait != nil {
+		if nerr := wait(); err == nil {
+			err = nerr
+		}
+	}
 	if err != nil {
 		return fail(err)
 	}
@@ -155,23 +159,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // serveManifest resolves the TCP cluster: an external manifest as-is, or
 // a self-hosted loopback cluster with one in-process ServeNode goroutine
-// per manifest entry (the nodes exit when the backend shuts the run down).
-func serveManifest(cfg serve.Config, manifestPath string, nodes int, wg *sync.WaitGroup, stderr io.Writer) (transport.Manifest, error) {
+// per manifest entry (the nodes exit when the backend shuts the run down)
+// and the wait that reports their first error.
+func serveManifest(cfg serve.Config, manifestPath string, nodes int) (transport.Manifest, func() error, error) {
 	if manifestPath != "" {
-		return transport.LoadManifest(manifestPath)
+		man, err := transport.LoadManifest(manifestPath)
+		return man, nil, err
 	}
 	man, err := transport.LocalManifest(nodes, cfg.W, cfg.H)
 	if err != nil {
-		return transport.Manifest{}, err
+		return transport.Manifest{}, nil, err
 	}
-	for i := range man.Nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := machine.ServeNode(man, i); err != nil {
-				fmt.Fprintf(stderr, "em2serve: node %d: %v\n", i, err)
-			}
-		}(i)
-	}
-	return man, nil
+	return man, machine.HostNodes(man), nil
 }

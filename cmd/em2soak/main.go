@@ -35,7 +35,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/machine"
@@ -159,21 +158,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		var wg sync.WaitGroup
-		for i := range man.Nodes {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if err := machine.ServeNode(man, i); err != nil {
-					fmt.Fprintf(stderr, "em2soak: node %d: %v\n", i, err)
-				}
-			}(i)
-		}
+		wait := machine.HostNodes(man)
 		be, err := serve.NewClusterBackend(cfg, man)
 		if err != nil {
 			return fail(err)
 		}
-		o, err := soak(cfg, be, &wg, nil)
+		o, err := soak(cfg, be, wait, nil)
 		if err != nil {
 			return fail(fmt.Errorf("tcp: %v", err))
 		}
@@ -244,10 +234,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // soak runs one serving mix on be with the stream captured in memory and
-// every sample fed through an invariant checker. nodeWG, when non-nil, is
-// waited out after the backend closes (self-hosted TCP nodes). extra,
-// when non-nil, receives a copy of the stream.
-func soak(cfg serve.Config, be serve.Backend, nodeWG *sync.WaitGroup, extra telemetry.Sink) (*soakOutcome, error) {
+// every sample fed through an invariant checker. wait, when non-nil, is
+// called after the backend closes (self-hosted TCP nodes) and its node
+// error fails the soak. extra, when non-nil, receives a copy of the
+// stream.
+func soak(cfg serve.Config, be serve.Backend, wait func() error, extra telemetry.Sink) (*soakOutcome, error) {
 	mem := &telemetry.MemorySink{}
 	checker := &telemetry.Checker{
 		// The serve window bound: MaxInflight live regions of RegionBytes.
@@ -267,8 +258,10 @@ func soak(cfg serve.Config, be serve.Backend, nodeWG *sync.WaitGroup, extra tele
 	}
 	rep, err := serve.Run(cfg, be)
 	be.Close()
-	if nodeWG != nil {
-		nodeWG.Wait()
+	if wait != nil {
+		if nerr := wait(); err == nil {
+			err = nerr
+		}
 	}
 	if err != nil {
 		return nil, err

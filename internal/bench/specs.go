@@ -194,10 +194,7 @@ func runTCP(w benchWorkload) (*machine.ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- machine.ServeNode(man, i) }(i)
-	}
+	wait := machine.HostNodes(man)
 	res, err := machine.ClusterRun{
 		Manifest: man,
 		Config: machine.ClusterConfig{
@@ -210,10 +207,8 @@ func runTCP(w benchWorkload) (*machine.ClusterResult, error) {
 		Threads: w.lit.Threads,
 		Mem:     w.lit.Mem,
 	}.Run()
-	for range man.Nodes {
-		if e := <-errs; e != nil && err == nil {
-			err = fmt.Errorf("bench: tcp node: %v", e)
-		}
+	if nerr := wait(); err == nil {
+		err = nerr
 	}
 	if err != nil {
 		return nil, err
@@ -615,23 +610,18 @@ func runServeTCP(cfg serve.Config) (*serve.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- machine.ServeNode(man, i) }(i)
-	}
+	wait := machine.HostNodes(man)
 	be, err := serve.NewClusterBackend(cfg, man)
 	if err != nil {
 		return nil, err
 	}
-	rep, runErr := serve.Run(cfg, be)
+	rep, err := serve.Run(cfg, be)
 	be.Close()
-	for range man.Nodes {
-		if e := <-errs; e != nil && runErr == nil {
-			runErr = fmt.Errorf("bench: serve node: %v", e)
-		}
+	if nerr := wait(); err == nil {
+		err = nerr
 	}
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

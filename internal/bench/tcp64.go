@@ -87,10 +87,7 @@ func runTCP64(c *wprog.Compiled) (*machine.ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- machine.ServeNode(man, i) }(i)
-	}
+	wait := machine.HostNodes(man)
 	res, err := machine.ClusterRun{
 		Manifest: man,
 		Config: machine.ClusterConfig{
@@ -102,10 +99,8 @@ func runTCP64(c *wprog.Compiled) (*machine.ClusterResult, error) {
 		Threads: c.Threads,
 		Mem:     c.Mem,
 	}.Run()
-	for range man.Nodes {
-		if e := <-errs; e != nil && err == nil {
-			err = fmt.Errorf("bench: tcp64 node: %v", e)
-		}
+	if nerr := wait(); err == nil {
+		err = nerr
 	}
 	if err != nil {
 		return nil, err

@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -123,50 +125,6 @@ func ParseScheme(spec string, mesh geom.Mesh) (core.Scheme, error) {
 	}
 }
 
-// encodePrograms packs thread programs into their 32-bit ISA encoding and
-// verifies each instruction survives the wire (immediates that overflow
-// their field would silently execute differently on the far side).
-func encodePrograms(threads []ThreadSpec) ([][]uint32, error) {
-	out := make([][]uint32, len(threads))
-	for t := range threads {
-		prog := threads[t].Program
-		if len(prog) == 0 {
-			return nil, fmt.Errorf("machine: thread %d has an empty program", t)
-		}
-		out[t] = make([]uint32, len(prog))
-		for i, in := range prog {
-			w := in.Encode()
-			back, err := isa.Decode(w)
-			if err != nil || back != in {
-				return nil, fmt.Errorf("machine: thread %d instruction %d (%v) does not survive the wire encoding", t, i, in)
-			}
-			out[t][i] = w
-		}
-	}
-	return out, nil
-}
-
-// decodePrograms is the node-side inverse of encodePrograms.
-func decodePrograms(spec *transport.LoadSpec) ([]ThreadSpec, error) {
-	if len(spec.Programs) != spec.NumThreads || len(spec.Regs) != spec.NumThreads {
-		return nil, fmt.Errorf("machine: load spec carries %d programs and %d reg maps for %d threads",
-			len(spec.Programs), len(spec.Regs), spec.NumThreads)
-	}
-	threads := make([]ThreadSpec, spec.NumThreads)
-	for t, words := range spec.Programs {
-		prog := make([]isa.Instr, len(words))
-		for i, w := range words {
-			in, err := isa.Decode(w)
-			if err != nil {
-				return nil, fmt.Errorf("machine: thread %d instruction %d: %v", t, i, err)
-			}
-			prog[i] = in
-		}
-		threads[t] = ThreadSpec{Program: prog, Regs: spec.Regs[t]}
-	}
-	return threads, nil
-}
-
 // NodeOption customizes ServeNode.
 type NodeOption func(*nodeOptions)
 
@@ -186,11 +144,13 @@ func WithWireStats(w io.Writer) NodeOption {
 const defaultHeartbeatMillis = 500
 
 // ServeNode runs one cluster node to completion: listen per the manifest,
-// receive the coordinator's LoadSpec, acknowledge it (or report the
-// actual load failure), execute the owned cores' loops with contexts and
-// remote accesses crossing the TCP transport, heartbeat liveness, report
-// HALTs, stream the collect reply in per-core chunks, and exit on
-// shutdown. This is the whole of cmd/em2node.
+// receive the coordinator's LoadSpec, open its thread slots and install
+// its initial job if it carries one, acknowledge it (or report the actual
+// load failure), execute the owned cores' loops with contexts and remote
+// accesses crossing the TCP transport, serve job submissions and
+// retirements, heartbeat liveness, report HALTs, stream the collect reply
+// in per-core chunks, and exit on shutdown. This is the whole of
+// cmd/em2node.
 func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	var opt nodeOptions
 	for _, o := range opts {
@@ -247,39 +207,20 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 		s, _ := part.Sample() //em2:errsink-ok: Part.Sample never fails; the MetricsSource signature carries the error for remote sources
 		return s
 	})
-	//em2:unordered-ok: Preload writes each address into its home shard's map; the final image is order-independent
-	for a, v := range spec.Mem {
-		part.Preload(a, v, 0) // keeps only the addresses this node homes
-	}
+	// Submitted jobs are installed, and finished ones retired, synchronously
+	// on the coordinator link's reader.
+	tn.HandleJobs(part)
 	// A halt that cannot be sent means the coordinator link is already
 	// torn down; the coordinator's halt barrier times out and reports it.
 	onHalt := func(h transport.HaltMsg) { _ = tn.SendHalt(h) } //em2:errsink-ok: no error path out of the halt callback; link teardown surfaces at the coordinator's barrier
-	if spec.Serve {
-		// Job-serving mode: the slot pool starts empty and per-job specs
-		// arrive through JobSubmit frames, handled on the coordinator
-		// link's reader before any of the job's contexts can be injected.
-		tn.HandleJob(part.ApplyJob)
-		// Retirement, also on the reader: clear the slots, reclaim the
-		// job's region from the owned shards, and return the reclaimed
-		// events so the coordinator can SC-check the job and reuse the
-		// region knowing every node released it.
-		tn.HandleJobDone(func(d transport.JobDone) transport.JobRetired {
-			part.ClearThreads(d.Slots)
-			ret := transport.JobRetired{Job: d.Job, Node: idx}
-			if d.Reclaim {
-				ret.Events, ret.Words = part.ReclaimRegion(d.Base, d.Base+d.Size)
-			}
-			return ret
-		})
-		if err := part.StartServe(spec.NumThreads, onHalt); err != nil {
-			return failLoad(err)
-		}
-	} else {
-		threads, err := decodePrograms(spec)
-		if err != nil {
-			return failLoad(err)
-		}
-		if err := part.Start(threads, onHalt); err != nil {
+	if err := part.StartServe(spec.NumThreads, onHalt); err != nil {
+		return failLoad(err)
+	}
+	// A closed-loop run's programs and memory image are the load's initial
+	// job, installed before Ready opens the data plane to its contexts.
+	if spec.Job != nil {
+		if err := part.ApplyJob(spec.Job); err != nil {
+			part.Stop()
 			return failLoad(err)
 		}
 	}
@@ -314,6 +255,31 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	<-tn.ShutdownC()
 	part.Stop()
 	return nil
+}
+
+// HostNodes runs every node of man in this process, one ServeNode
+// goroutine each — the em2node code path without a process spawn. The
+// returned wait blocks until every node has exited and reports the first
+// node's error, by node index.
+func HostNodes(man transport.Manifest) (wait func() error) {
+	errs := make([]error, len(man.Nodes))
+	var wg sync.WaitGroup
+	for i := range man.Nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = ServeNode(man, i)
+		}()
+	}
+	return func() error {
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				return fmt.Errorf("machine: node %d: %w", i, err)
+			}
+		}
+		return nil
+	}
 }
 
 // ClusterConfig describes a cluster run. Scheme and Placement travel by
@@ -386,8 +352,8 @@ type ClusterRun struct {
 	// Threads is the full cluster-wide thread list; thread t starts at
 	// core t mod cores, as in Machine.Run.
 	Threads []ThreadSpec
-	// Mem is the initial memory image, broadcast with the LoadSpec (each
-	// node preloads the addresses it homes).
+	// Mem is the initial memory image, broadcast in the LoadSpec's initial
+	// job (each node preloads the addresses it homes).
 	Mem map[uint32]uint32
 	// Sink, when set, receives one deterministic end-of-run telemetry
 	// sample: the collected per-core counters with quiescent gauges,
@@ -407,12 +373,6 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
-	if len(threads) == 0 {
-		return nil, fmt.Errorf("machine: no threads")
-	}
-	if err := validateSpecs(threads); err != nil {
-		return nil, err
-	}
 	if cfg.Scheme == "" {
 		cfg.Scheme = "always-migrate"
 	}
@@ -424,7 +384,8 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 	}
 	mesh := geom.NewMesh(man.W, man.H)
 	// Fail fast on the coordinator for anything a node would reject: build
-	// and validate the exact Config every node will build from the spec.
+	// and validate the exact Config every node will build from the spec,
+	// and the run's initial job every node will install.
 	var err error
 	nodeCfg := Config{Mesh: mesh, GuestContexts: cfg.GuestContexts, Quantum: cfg.Quantum}
 	if nodeCfg.Placement, err = ParsePlacement(cfg.Placement, mesh.Cores()); err != nil {
@@ -436,7 +397,11 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 	if err := nodeCfg.Validate(); err != nil {
 		return nil, err
 	}
-	programs, err := encodePrograms(threads)
+	slots := make([]int, len(threads))
+	for t := range slots {
+		slots[t] = t
+	}
+	job, err := BuildJob(0, slots, threads, mem)
 	if err != nil {
 		return nil, err
 	}
@@ -448,12 +413,9 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 	defer co.Close()
 	defer co.Shutdown()
 
-	regs := make([]map[int]uint32, len(threads))
-	for t := range threads {
-		regs[t] = threads[t].Regs
-	}
 	// The ack barrier turns a node's load failure into its actual error
-	// message and guarantees every data plane is open before injection.
+	// message and guarantees every node installed the programs and opened
+	// its data plane before injection.
 	if err := co.Load(&transport.LoadSpec{
 		GuestContexts: cfg.GuestContexts,
 		Quantum:       cfg.Quantum,
@@ -461,66 +423,31 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 		Placement:     cfg.Placement,
 		LogEvents:     cfg.LogEvents,
 		NumThreads:    len(threads),
-		Programs:      programs,
-		Regs:          regs,
-		Mem:           mem,
+		Job:           job,
 	}, cfg.Timeout); err != nil {
 		return nil, err
 	}
-
-	cores := mesh.Cores()
-	for t := range threads {
-		ctx := transport.Context{Thread: int32(t), Native: int32(t % cores)}
-		//em2:unordered-ok: each register lands in its own array slot; the filled Regs array is order-independent
-		for r, v := range threads[t].Regs {
-			ctx.Arch.Regs[r] = v
-		}
-		if err := co.InjectEviction(geom.CoreID(t%cores), ctx); err != nil {
-			return nil, err
-		}
-	}
 	// Injections coalesce per node; the whole run's initial contexts reach
 	// each node in one batch write.
+	if err := Inject(threads, mesh.Cores(), co.InjectEviction); err != nil {
+		return nil, err
+	}
 	if err := co.Flush(); err != nil {
 		return nil, err
 	}
-
+	halts, err := AwaitHalts(co.Halts(), co.Deaths(), len(threads), cfg.Timeout)
+	if errors.Is(err, errHaltTimeout) {
+		err = fmt.Errorf("%w (%s)", err, heartbeatSummary(co, len(man.Nodes)))
+	}
+	if err != nil {
+		return nil, err
+	}
 	res := &ClusterResult{Mem: make(map[uint32]uint32)}
 	res.FinalRegs = make([][isa.NumRegs]uint32, len(threads))
-	timer := time.NewTimer(cfg.Timeout)
-	defer timer.Stop()
-	// Track exactly which threads halted: a halt counter alone would let a
-	// duplicate (or fabricated) report for one thread mask another thread
-	// that never finished, and the run would "complete" with garbage
-	// registers for the missing thread.
-	halted := make([]bool, len(threads))
 	var maxCycles uint64
-	for n := 0; n < len(threads); n++ {
-		select {
-		case h, ok := <-co.Halts():
-			if !ok {
-				return nil, fmt.Errorf("machine: halt channel closed with %d of %d threads halted", n, len(threads))
-			}
-			if h.Thread < 0 || h.Thread >= len(threads) {
-				return nil, fmt.Errorf("machine: halt report for unknown thread %d", h.Thread)
-			}
-			if halted[h.Thread] {
-				return nil, fmt.Errorf("machine: duplicate halt report for thread %d", h.Thread)
-			}
-			halted[h.Thread] = true
-			res.FinalRegs[h.Thread] = h.Regs
-			if h.Cycles > maxCycles {
-				maxCycles = h.Cycles
-			}
-		case err := <-co.Deaths():
-			// A node process died mid-run: every context and shard it held
-			// is gone. Fail loudly and immediately instead of letting the
-			// run bleed out into a timeout.
-			return nil, fmt.Errorf("machine: cluster run failed with %d of %d threads halted: %v", n, len(threads), err)
-		case <-timer.C:
-			return nil, fmt.Errorf("machine: cluster run timed out with %d of %d threads halted (%s)",
-				n, len(threads), heartbeatSummary(co, len(man.Nodes)))
-		}
+	for t, h := range halts {
+		res.FinalRegs[t] = h.Regs
+		maxCycles = max(maxCycles, h.Cycles)
 	}
 
 	reps, err := co.Collect(cfg.Timeout)
@@ -528,17 +455,7 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 		return nil, err
 	}
 	for _, rep := range reps {
-		res.Instructions += rep.Counters["instructions"]
-		res.Migrations += rep.Counters["migrations"]
-		res.Evictions += rep.Counters["evictions"]
-		res.RemoteReads += rep.Counters["remote_reads"]
-		res.RemoteWrites += rep.Counters["remote_writes"]
-		res.LocalOps += rep.Counters["local_ops"]
-		res.ContextFlits += rep.Counters["context_flits"]
-		res.LeaseHits += rep.Counters["lease_hits"]
-		res.LeaseMisses += rep.Counters["lease_misses"]
-		res.LeaseInvals += rep.Counters["lease_invals"]
-		res.Overcommits += rep.Counters["overcommits"]
+		res.addCounters(rep.Counters)
 		res.Events = append(res.Events, rep.Events...)
 		//em2:unordered-ok: node memory images are address-disjoint (single-home invariant); merge order cannot matter
 		for a, v := range rep.Mem {

@@ -492,8 +492,11 @@ func (n *coreNode) execute(c *context) {
 			n.ctr.instructions.Add(1)
 			c.cycles++
 			c.pred.Flush() // end of the thread's access stream
-			n.p.onHalt(transport.HaltMsg{Thread: c.thread, Regs: c.regs, Cycles: c.cycles, Msgs: c.msgs})
+			// The context leaves the resident count before the halt is
+			// reported: a driver that saw every halt may sample the machine
+			// as quiescent at once, and must find the guest gauge at zero.
 			n.guestDeparted(c)
+			n.p.onHalt(transport.HaltMsg{Thread: c.thread, Regs: c.regs, Cycles: c.cycles, Msgs: c.msgs})
 			return
 		}
 		executeALU(c, in)

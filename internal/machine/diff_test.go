@@ -21,24 +21,12 @@ func runOnTCP(t *testing.T, nodes, w, h int, cfg ClusterConfig, lit Litmus) *Clu
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := make(chan error, nodes)
-	for i := 0; i < nodes; i++ {
-		go func(i int) { errs <- ServeNode(man, i) }(i)
-	}
+	wait := HostNodes(man)
 	res, err := ClusterRun{Manifest: man, Config: cfg, Threads: lit.Threads, Mem: lit.Mem}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < nodes; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("node exited: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("node did not exit after shutdown")
-		}
-	}
+	awaitNodes(t, wait, 30*time.Second)
 	if err := CheckSCFrom(lit.Mem, res.Events); err != nil {
 		t.Fatalf("%s over TCP: SC violation: %v", lit.Name, err)
 	}
@@ -115,25 +103,28 @@ func TestServeNodeShutdownWithoutRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- ServeNode(man, i) }(i)
-	}
+	wait := HostNodes(man)
 	co, err := transport.DialCluster(man, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	co.Shutdown()
 	co.Close()
-	for range man.Nodes {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Errorf("node returned %v on abort", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("node did not exit after shutdown-without-load")
+	awaitNodes(t, wait, 10*time.Second)
+}
+
+// awaitNodes requires every HostNodes node to exit cleanly within limit.
+func awaitNodes(t *testing.T, wait func() error, limit time.Duration) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("node exited: %v", err)
 		}
+	case <-time.After(limit):
+		t.Fatal("node did not exit after shutdown")
 	}
 }
 

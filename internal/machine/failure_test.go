@@ -146,8 +146,7 @@ func TestServeNodeReportsLoadError(t *testing.T) {
 		Scheme:     "bogus-scheme",
 		Placement:  "striped:64",
 		NumThreads: 1,
-		Programs:   [][]uint32{{0}},
-		Regs:       []map[int]uint32{nil},
+		Job:        &transport.JobSpec{Slots: []int{0}, Programs: [][]uint32{{0}}, Regs: []map[int]uint32{nil}},
 	}, 10*time.Second)
 	if err == nil {
 		t.Fatal("Load succeeded despite an unloadable spec")
@@ -231,8 +230,7 @@ func TestServeNodeAbortsMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	threads := []ThreadSpec{{Program: spinForever()}}
-	programs, err := encodePrograms(threads)
+	job, err := BuildJob(0, []int{0}, []ThreadSpec{{Program: spinForever()}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +238,7 @@ func TestServeNodeAbortsMidRun(t *testing.T) {
 		Scheme:     "always-migrate",
 		Placement:  "striped:64",
 		NumThreads: 1,
-		Programs:   programs,
-		Regs:       []map[int]uint32{nil},
+		Job:        job,
 	}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,11 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
-	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -75,15 +76,18 @@ type ThreadSpec struct {
 	Regs    map[int]uint32 // initial register values
 }
 
-// validateSpecs checks every thread's initial register map.
-func validateSpecs(threads []ThreadSpec) error {
-	for t := range threads {
-		// Sorted so a spec with several bad registers always reports the
-		// same one.
-		for _, r := range slices.Sorted(maps.Keys(threads[t].Regs)) {
-			if r <= 0 || r >= isa.NumRegs {
-				return fmt.Errorf("machine: thread %d: bad initial register r%d", t, r)
-			}
+// checkThread is the one validation rule for a thread spec, applied on
+// the coordinator (BuildJob) and at slot installation (SetThread): a
+// non-empty program and initial values only for writable registers.
+func checkThread(spec ThreadSpec) error {
+	if len(spec.Program) == 0 {
+		return errors.New("empty program")
+	}
+	// Sorted so a spec with several bad registers always reports the same
+	// one.
+	for _, r := range slices.Sorted(maps.Keys(spec.Regs)) {
+		if r <= 0 || r >= isa.NumRegs {
+			return fmt.Errorf("bad initial register r%d", r)
 		}
 	}
 	return nil
@@ -113,6 +117,21 @@ type Result struct {
 	Events []Event
 }
 
+// addCounters accumulates one part's collected counter map into r.
+func (r *Result) addCounters(c map[string]int64) {
+	r.Instructions += c["instructions"]
+	r.Migrations += c["migrations"]
+	r.Evictions += c["evictions"]
+	r.RemoteReads += c["remote_reads"]
+	r.RemoteWrites += c["remote_writes"]
+	r.LocalOps += c["local_ops"]
+	r.ContextFlits += c["context_flits"]
+	r.LeaseHits += c["lease_hits"]
+	r.LeaseMisses += c["lease_misses"]
+	r.LeaseInvals += c["lease_invals"]
+	r.Overcommits += c["overcommits"]
+}
+
 // Machine is a runnable in-process EM² instance: one Part spanning every
 // core over the channel transport. Create with New, run with Run.
 type Machine struct {
@@ -121,10 +140,6 @@ type Machine struct {
 	tr         *transport.Local
 	part       *Part
 	ran        bool
-
-	mu        sync.Mutex
-	finalRegs map[int][isa.NumRegs]uint32
-	haltWG    sync.WaitGroup
 }
 
 // New builds a machine for the given thread count (the count sizes the
@@ -143,7 +158,6 @@ func New(cfg Config, numThreads int) (*Machine, error) {
 		numThreads: numThreads,
 		tr:         tr,
 		part:       part,
-		finalRegs:  make(map[int][isa.NumRegs]uint32),
 	}, nil
 }
 
@@ -181,58 +195,91 @@ func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
 		return nil, fmt.Errorf("machine: Run called twice")
 	}
 
-	cores := m.cfg.Mesh.Cores()
-	// Part.Start is the single validation authority for thread specs; it
-	// spawns nothing on error.
-	if err := m.part.Start(threads, func(h transport.HaltMsg) {
-		m.mu.Lock()
-		m.finalRegs[h.Thread] = h.Regs
-		m.mu.Unlock()
-		m.haltWG.Done()
-	}); err != nil {
+	// A machine runs once, even when its threads are rejected.
+	m.ran = true
+	halts := make(chan transport.HaltMsg, len(threads))
+	if err := m.part.Start(threads, func(h transport.HaltMsg) { halts <- h }); err != nil {
 		return nil, err
 	}
-	m.ran = true
-	// Counted before the first injection below; halts only follow injection.
-	m.haltWG.Add(len(threads))
+	// The in-process eviction inbox is sized for every thread, so the
+	// injection cannot fail.
+	_ = Inject(threads, m.cfg.Mesh.Cores(), m.tr.SendEviction) //em2:errsink-ok: local eviction send is infallible by inbox sizing
+	hs, err := AwaitHalts(halts, nil, len(threads), 0)
+	m.part.Stop()
+	if err != nil {
+		return nil, err
+	}
+
+	coll := m.part.Collect(0)
+	res := &Result{PerCore: coll.PerCore, FinalRegs: make([][isa.NumRegs]uint32, len(threads))}
+	res.addCounters(coll.Counters)
+	for t, h := range hs {
+		res.FinalRegs[t] = h.Regs
+	}
+	if m.cfg.LogEvents {
+		res.Events = coll.Events
+	}
+	return res, nil
+}
+
+// Inject places every thread's initial context at its native core —
+// thread t at core t mod cores — through send on the eviction network,
+// where a native arrival is always accepted. Every way of running a
+// program (Machine.Run, ClusterRun.Run, both serve backends) starts its
+// threads here.
+func Inject(threads []ThreadSpec, cores int, send func(geom.CoreID, transport.Context) error) error {
 	for t := range threads {
 		ctx := transport.Context{Thread: int32(t), Native: int32(t % cores)}
 		//em2:unordered-ok: each register lands in its own array slot; the filled Regs array is order-independent
 		for r, v := range threads[t].Regs {
 			ctx.Arch.Regs[r] = v
 		}
-		// Initial placement: the native context, via the eviction channel
-		// (a native arrival is always accepted; the in-process transport's
-		// eviction inbox is sized for every thread, so this cannot fail).
-		_ = m.tr.SendEviction(geom.CoreID(t%cores), ctx) //em2:errsink-ok: local eviction send is infallible by inbox sizing
+		if err := send(geom.CoreID(t%cores), ctx); err != nil {
+			return err
+		}
 	}
-	m.haltWG.Wait()
-	m.part.Stop()
+	return nil
+}
 
-	coll := m.part.Collect(0)
-	res := &Result{
-		Instructions: coll.Counters["instructions"],
-		Migrations:   coll.Counters["migrations"],
-		Evictions:    coll.Counters["evictions"],
-		RemoteReads:  coll.Counters["remote_reads"],
-		RemoteWrites: coll.Counters["remote_writes"],
-		LocalOps:     coll.Counters["local_ops"],
-		ContextFlits: coll.Counters["context_flits"],
-		LeaseHits:    coll.Counters["lease_hits"],
-		LeaseMisses:  coll.Counters["lease_misses"],
-		LeaseInvals:  coll.Counters["lease_invals"],
-		Overcommits:  coll.Counters["overcommits"],
-		PerCore:      coll.PerCore,
-		FinalRegs:    make([][isa.NumRegs]uint32, len(threads)),
+// errHaltTimeout marks an AwaitHalts that ran out of time, so a cluster
+// driver can annotate it with the nodes' last heartbeats.
+var errHaltTimeout = errors.New("machine: timed out")
+
+// AwaitHalts gathers one HALT for each of threads 0..n-1 from halts and
+// returns them indexed by thread. It tracks exactly which threads halted:
+// a halt counter alone would let a duplicate (or fabricated) report for
+// one thread mask another that never finished, completing the run with
+// garbage registers. deaths (nil in process) fails the wait as soon as a
+// node is lost — every context and shard it held is gone — instead of
+// letting the run bleed out into its timeout; timeout <= 0 waits forever.
+func AwaitHalts(halts <-chan transport.HaltMsg, deaths <-chan error, n int, timeout time.Duration) ([]transport.HaltMsg, error) {
+	var expired <-chan time.Time
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		expired = timer.C
 	}
-	m.mu.Lock()
-	//em2:unordered-ok: each thread's registers land in its own slice slot; order-independent
-	for t, regs := range m.finalRegs {
-		res.FinalRegs[t] = regs
+	out := make([]transport.HaltMsg, n)
+	for t := range out {
+		out[t].Thread = -1 // not halted yet
 	}
-	m.mu.Unlock()
-	if m.cfg.LogEvents {
-		res.Events = coll.Events
+	for got := 0; got < n; got++ {
+		select {
+		case h, ok := <-halts:
+			switch {
+			case !ok:
+				return nil, fmt.Errorf("machine: halt channel closed with %d of %d threads halted", got, n)
+			case h.Thread < 0 || h.Thread >= n:
+				return nil, fmt.Errorf("machine: halt report for unknown thread %d of %d", h.Thread, n)
+			case out[h.Thread].Thread >= 0:
+				return nil, fmt.Errorf("machine: duplicate halt report for thread %d", h.Thread)
+			}
+			out[h.Thread] = h
+		case err := <-deaths:
+			return nil, fmt.Errorf("machine: cluster run failed with %d of %d threads halted: %v", got, n, err)
+		case <-expired:
+			return nil, fmt.Errorf("%w with %d of %d threads halted", errHaltTimeout, got, n)
+		}
 	}
-	return res, nil
+	return out, nil
 }

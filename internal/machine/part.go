@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -225,19 +226,24 @@ func (p *Part) Peek(addr uint32) (uint32, bool) {
 	return 0, false
 }
 
-// Start spawns the core loops. threads is the full cluster-wide thread
-// list (any thread can migrate in); onHalt fires on the core where a
-// thread executes HALT, with its final register file.
+// Start runs a closed-loop program: StartServe over one slot per thread,
+// then every thread installed in its slot through SetThread, the single
+// validation authority for thread specs. threads is the full cluster-wide
+// thread list (any thread can migrate in); onHalt fires on the core where
+// a thread executes HALT, with its final register file. On error the part
+// is stopped.
 func (p *Part) Start(threads []ThreadSpec, onHalt func(transport.HaltMsg)) error {
-	if err := validateSpecs(threads); err != nil {
+	if err := p.StartServe(len(threads), onHalt); err != nil {
 		return err
 	}
-	p.specs = make([]atomic.Pointer[ThreadSpec], len(threads))
-	for i := range threads {
-		t := threads[i]
-		p.specs[i].Store(&t)
+	specs := slices.Clone(threads)
+	for t := range specs {
+		if err := p.SetThread(t, &specs[t]); err != nil {
+			p.Stop()
+			return err
+		}
 	}
-	return p.start(onHalt)
+	return nil
 }
 
 // StartServe spawns the core loops over a pool of numSlots empty thread
@@ -246,13 +252,9 @@ func (p *Part) Start(threads []ThreadSpec, onHalt func(transport.HaltMsg)) error
 // serve submit/ack barrier exists to prevent it) and panics in fromWire.
 func (p *Part) StartServe(numSlots int, onHalt func(transport.HaltMsg)) error {
 	if numSlots <= 0 {
-		return fmt.Errorf("machine: serve pool needs at least one slot")
+		return fmt.Errorf("machine: need at least one thread slot")
 	}
 	p.specs = make([]atomic.Pointer[ThreadSpec], numSlots)
-	return p.start(onHalt)
-}
-
-func (p *Part) start(onHalt func(transport.HaltMsg)) error {
 	p.onHalt = onHalt
 	for _, id := range p.tr.Owned() {
 		n := &coreNode{
@@ -287,20 +289,18 @@ func (p *Part) abort() {
 	p.stopOnce.Do(func() { close(p.done) })
 }
 
-// SetThread installs spec in a serve slot. The caller must guarantee no
-// context of the slot is resident or in flight (the serve submit/ack and
+// SetThread installs spec in a thread slot; the part keeps the pointer, so
+// the caller must not modify *spec afterwards. The caller must guarantee
+// no context of the slot is resident or in flight (the submit/ack and
 // halt protocol provides exactly that ordering).
-func (p *Part) SetThread(slot int, spec ThreadSpec) error {
+func (p *Part) SetThread(slot int, spec *ThreadSpec) error {
 	if slot < 0 || slot >= len(p.specs) {
 		return fmt.Errorf("machine: thread slot %d outside the %d-slot pool", slot, len(p.specs))
 	}
-	if len(spec.Program) == 0 {
-		return fmt.Errorf("machine: slot %d: empty program", slot)
+	if err := checkThread(*spec); err != nil {
+		return fmt.Errorf("machine: slot %d: %v", slot, err)
 	}
-	if err := validateSpecs([]ThreadSpec{spec}); err != nil {
-		return err
-	}
-	p.specs[slot].Store(&spec)
+	p.specs[slot].Store(spec)
 	return nil
 }
 

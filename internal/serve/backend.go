@@ -104,16 +104,14 @@ func (b *localBackend) RunJob(j *Job, timeout time.Duration) ([]transport.HaltMs
 	if err := b.part.ApplyJob(spec); err != nil {
 		return nil, err
 	}
-	if err := injectJob(j, b.cores, b.tr.SendEviction); err != nil {
+	if err := machine.Inject(j.Threads, b.cores, b.tr.SendEviction); err != nil {
 		return nil, err
 	}
-	return haltsForJob(j, b.halts, nil, timeout)
+	return machine.AwaitHalts(b.halts, nil, len(j.Threads), timeout)
 }
 
 func (b *localBackend) Retire(j *Job, _ time.Duration) ([]machine.Event, error) {
-	b.part.ClearThreads(j.Slots())
-	events, _ := b.part.ReclaimRegion(j.Base, j.Base+RegionBytes)
-	return events, nil
+	return b.part.RetireJob(j.done()).Events, nil
 }
 
 func (b *localBackend) Sample() (transport.Sample, error) {
@@ -144,7 +142,7 @@ type clusterBackend struct {
 }
 
 // NewClusterBackend dials the cluster in the manifest and loads every node
-// in serve mode. The node processes (machine.ServeNode / cmd/em2node)
+// with an empty slot pool and no initial job. The node processes (machine.ServeNode / cmd/em2node)
 // must be starting or started on the manifest's addresses.
 func NewClusterBackend(cfg Config, man transport.Manifest) (Backend, error) {
 	cfg = cfg.withDefaults()
@@ -169,7 +167,6 @@ func NewClusterBackend(cfg Config, man transport.Manifest) (Backend, error) {
 	// The ack barrier surfaces a node's actual load failure here instead
 	// of as a bare connection death on the first job.
 	err = co.Load(&transport.LoadSpec{
-		Serve:      true,
 		Quantum:    cfg.Quantum,
 		Scheme:     cfg.Scheme,
 		Placement:  cfg.Placement,
@@ -195,26 +192,20 @@ func (b *clusterBackend) RunJob(j *Job, timeout time.Duration) ([]transport.Halt
 	if err := b.co.SubmitJob(spec, timeout); err != nil {
 		return nil, err
 	}
-	if err := injectJob(j, b.cores, b.co.InjectEviction); err != nil {
+	if err := machine.Inject(j.Threads, b.cores, b.co.InjectEviction); err != nil {
 		return nil, err
 	}
 	if err := b.co.Flush(); err != nil {
 		return nil, err
 	}
-	return haltsForJob(j, b.co.Halts(), b.co.Deaths(), timeout)
+	return machine.AwaitHalts(b.co.Halts(), b.co.Deaths(), len(j.Threads), timeout)
 }
 
 func (b *clusterBackend) Retire(j *Job, timeout time.Duration) ([]machine.Event, error) {
 	// The retirement barrier: every node cleared the slots and reclaimed
 	// the region before the coordinator may reuse either. The merged reply
 	// carries the job's events from whichever nodes homed its addresses.
-	return b.co.RetireJob(transport.JobDone{
-		Job:     j.Index,
-		Slots:   j.Slots(),
-		Base:    j.Base,
-		Size:    RegionBytes,
-		Reclaim: true,
-	}, timeout)
+	return b.co.RetireJob(j.done(), timeout)
 }
 
 func (b *clusterBackend) Sample() (transport.Sample, error) {
@@ -244,21 +235,4 @@ func (b *clusterBackend) Close() {
 		b.co.Shutdown()
 		b.co.Close()
 	}
-}
-
-// injectJob places each job thread's initial context at its native core
-// (slot t at core t mod cores) through the eviction network, exactly like
-// a whole-machine run's initial injection.
-func injectJob(j *Job, cores int, send func(geom.CoreID, transport.Context) error) error {
-	for t := range j.Threads {
-		ctx := transport.Context{Thread: int32(t), Native: int32(t % cores)}
-		//em2:unordered-ok: each register lands in its own array slot; the filled Regs array is order-independent
-		for r, v := range j.Threads[t].Regs {
-			ctx.Arch.Regs[r] = v
-		}
-		if err := send(geom.CoreID(t%cores), ctx); err != nil {
-			return err
-		}
-	}
-	return nil
 }

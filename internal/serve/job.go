@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/transport"
 )
 
 // RegionBytes is the size of each job's private address region. A job
@@ -85,6 +86,12 @@ func (j *Job) Slots() []int {
 		s[i] = i
 	}
 	return s
+}
+
+// done is the job's retirement request: clear its slots and reclaim its
+// region.
+func (j *Job) done() transport.JobDone {
+	return transport.JobDone{Job: j.Index, Slots: j.Slots(), Base: j.Base, Size: RegionBytes, Reclaim: true}
 }
 
 // Workloads lists the job generators, in presentation order. Only

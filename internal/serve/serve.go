@@ -365,33 +365,3 @@ func Run(cfg Config, be Backend) (*Report, error) {
 		Counters:       dr.Counters,
 	}, nil
 }
-
-// haltsForJob collects one halt per slot from the stream ch, guarded by
-// deaths (a lost node) and the timeout. Shared by both backends.
-func haltsForJob(job *Job, ch <-chan transport.HaltMsg, deaths <-chan error, timeout time.Duration) ([]transport.HaltMsg, error) {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	out := make([]transport.HaltMsg, len(job.Threads))
-	seen := make([]bool, len(job.Threads))
-	for n := 0; n < len(job.Threads); n++ {
-		select {
-		case h, ok := <-ch:
-			if !ok {
-				return nil, fmt.Errorf("halt channel closed with %d of %d threads halted", n, len(job.Threads))
-			}
-			if h.Thread < 0 || h.Thread >= len(job.Threads) {
-				return nil, fmt.Errorf("halt report for slot %d outside the job's %d slots", h.Thread, len(job.Threads))
-			}
-			if seen[h.Thread] {
-				return nil, fmt.Errorf("duplicate halt report for slot %d", h.Thread)
-			}
-			seen[h.Thread] = true
-			out[h.Thread] = h
-		case err := <-deaths:
-			return nil, fmt.Errorf("failed with %d of %d threads halted: %v", n, len(job.Threads), err)
-		case <-timer.C:
-			return nil, fmt.Errorf("timed out with %d of %d threads halted", n, len(job.Threads))
-		}
-	}
-	return out, nil
-}

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -86,23 +85,16 @@ func TestServeDifferentialTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for i := range man.Nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := machine.ServeNode(man, i); err != nil {
-				t.Errorf("serve node %d: %v", i, err)
-			}
-		}(i)
-	}
+	wait := machine.HostNodes(man)
 	be, err := NewClusterBackend(cfg, man)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clustered, err := Run(cfg, be)
 	be.Close()
-	wg.Wait()
+	if nerr := wait(); nerr != nil {
+		t.Error(nerr)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,23 +121,16 @@ func TestServeDifferential8Node(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for i := range man.Nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := machine.ServeNode(man, i); err != nil {
-				t.Errorf("serve node %d: %v", i, err)
-			}
-		}(i)
-	}
+	wait := machine.HostNodes(man)
 	be, err := NewClusterBackend(cfg, man)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clustered, err := Run(cfg, be)
 	be.Close()
-	wg.Wait()
+	if nerr := wait(); nerr != nil {
+		t.Error(nerr)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,16 +199,7 @@ func TestServeTelemetryDifferential8Node(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for i := range man.Nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := machine.ServeNode(man, i); err != nil {
-				t.Errorf("serve node %d: %v", i, err)
-			}
-		}(i)
-	}
+	wait := machine.HostNodes(man)
 	var tcpSink telemetry.MemorySink
 	cfg.Sink = &tcpSink
 	be, err := NewClusterBackend(cfg, man)
@@ -232,7 +208,9 @@ func TestServeTelemetryDifferential8Node(t *testing.T) {
 	}
 	clustered, err := Run(cfg, be)
 	be.Close()
-	wg.Wait()
+	if nerr := wait(); nerr != nil {
+		t.Error(nerr)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,10 +180,7 @@ func m3RunTCP(schemeName string, lit machine.Litmus) (*machine.ClusterResult, er
 	if err != nil {
 		return nil, err
 	}
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- machine.ServeNode(man, i) }(i)
-	}
+	wait := machine.HostNodes(man)
 	res, err := machine.ClusterRun{
 		Manifest: man,
 		Config: machine.ClusterConfig{
@@ -195,10 +192,8 @@ func m3RunTCP(schemeName string, lit machine.Litmus) (*machine.ClusterResult, er
 		Threads: lit.Threads,
 		Mem:     lit.Mem,
 	}.Run()
-	for range man.Nodes {
-		if e := <-errs; e != nil && err == nil {
-			err = fmt.Errorf("tcp node: %v", e)
-		}
+	if nerr := wait(); err == nil {
+		err = nerr
 	}
 	if err != nil {
 		return nil, err

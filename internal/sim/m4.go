@@ -86,10 +86,7 @@ func m4RunTCP(schemeName string, c *wprog.Compiled) (*machine.ClusterResult, err
 	if err != nil {
 		return nil, err
 	}
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- machine.ServeNode(man, i) }(i)
-	}
+	wait := machine.HostNodes(man)
 	res, err := machine.ClusterRun{
 		Manifest: man,
 		Config: machine.ClusterConfig{
@@ -101,10 +98,8 @@ func m4RunTCP(schemeName string, c *wprog.Compiled) (*machine.ClusterResult, err
 		Threads: c.Threads,
 		Mem:     c.Mem,
 	}.Run()
-	for range man.Nodes {
-		if e := <-errs; e != nil && err == nil {
-			err = fmt.Errorf("tcp node: %v", e)
-		}
+	if nerr := wait(); err == nil {
+		err = nerr
 	}
 	if err != nil {
 		return nil, err

@@ -16,6 +16,24 @@ import (
 	"repro/internal/transport"
 )
 
+// stubJobs is a node's job handler that accepts every job and reclaims
+// the one region the control-plane test retires.
+type stubJobs struct{ reclaimed []transport.Event }
+
+func (stubJobs) ApplyJob(*transport.JobSpec) error { return nil }
+
+func (s stubJobs) RetireJob(d transport.JobDone) transport.JobRetired {
+	ret := transport.JobRetired{Job: d.Job}
+	if d.Reclaim {
+		if d.Base != 4096 || d.Size != 4096 {
+			ret.Err = fmt.Sprintf("unexpected region [%d,+%d)", d.Base, d.Size)
+			return ret
+		}
+		ret.Events, ret.Words = s.reclaimed, len(s.reclaimed)
+	}
+	return ret
+}
+
 // TestControlPlaneRoundTrip exercises the sharded control plane end to
 // end on one real Node/Coordinator pair: the load-ack barrier, the async
 // heartbeat, the job-retirement barrier with reclaimed events, and the
@@ -50,18 +68,7 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 			spec := <-n.Loads()
 			n.Prepare(spec.NumThreads)
 			n.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply { return transport.MemReply{} })
-			n.HandleJob(func(*transport.JobSpec) error { return nil })
-			n.HandleJobDone(func(d transport.JobDone) transport.JobRetired {
-				ret := transport.JobRetired{Job: d.Job, Node: 0}
-				if d.Reclaim {
-					if d.Base != 4096 || d.Size != 4096 {
-						ret.Err = fmt.Sprintf("unexpected region [%d,+%d)", d.Base, d.Size)
-						return ret
-					}
-					ret.Events, ret.Words = retEvents, len(retEvents)
-				}
-				return ret
-			})
+			n.HandleJobs(stubJobs{reclaimed: retEvents})
 			n.Ready()
 			if err := n.SendLoadAck(transport.LoadAck{Node: 0}); err != nil {
 				return err
@@ -83,7 +90,7 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if err := co.Load(&transport.LoadSpec{NumThreads: 4, Serve: true}, 10*time.Second); err != nil {
+	if err := co.Load(&transport.LoadSpec{NumThreads: 4}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 

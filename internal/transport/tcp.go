@@ -35,7 +35,12 @@ type NodeSpec struct {
 // Cores returns the total core count of the manifest's mesh.
 func (m Manifest) Cores() int { return m.W * m.H }
 
-// Validate checks that the node core sets partition the mesh.
+// ErrDuplicateAddr reports two manifest nodes on one listen address: the
+// second could never bind it.
+var ErrDuplicateAddr = errors.New("transport: duplicate node address")
+
+// Validate checks that the node core sets partition the mesh and that
+// every node has its own address.
 func (m Manifest) Validate() error {
 	if m.W <= 0 || m.H <= 0 {
 		return fmt.Errorf("transport: bad mesh %dx%d", m.W, m.H)
@@ -44,10 +49,15 @@ func (m Manifest) Validate() error {
 		return fmt.Errorf("transport: manifest has no nodes")
 	}
 	seen := make(map[geom.CoreID]int)
+	addrs := make(map[string]int)
 	for i, n := range m.Nodes {
 		if n.Addr == "" {
 			return fmt.Errorf("transport: node %d has no address", i)
 		}
+		if prev, dup := addrs[n.Addr]; dup {
+			return fmt.Errorf("%w: nodes %d and %d both listen on %s", ErrDuplicateAddr, prev, i, n.Addr)
+		}
+		addrs[n.Addr] = i
 		for _, c := range n.Cores {
 			if int(c) < 0 || int(c) >= m.Cores() {
 				return fmt.Errorf("transport: node %d owns core %d outside %dx%d mesh", i, c, m.W, m.H)
@@ -99,9 +109,9 @@ func LoadManifest(path string) (Manifest, error) {
 
 // LocalManifest builds a loopback manifest for an N-node cluster on a WxH
 // mesh: cores are split into contiguous blocks and each node gets a free
-// 127.0.0.1 port (allocated by briefly listening on :0 — the standard
-// loopback trick; the window between release and the node's bind is
-// harmless on a test host).
+// 127.0.0.1 port (probed by listening on :0, every probe held until all
+// ports are drawn so no two nodes share one; the window between release
+// and the node's bind is harmless on a test host).
 func LocalManifest(nodes, w, h int) (Manifest, error) {
 	cores := w * h
 	if nodes <= 0 || nodes > cores {
@@ -113,8 +123,8 @@ func LocalManifest(nodes, w, h int) (Manifest, error) {
 		if err != nil {
 			return Manifest{}, err
 		}
+		defer ln.Close() // held until every port is drawn
 		m.Nodes[i].Addr = ln.Addr().String()
-		ln.Close()
 		lo, hi := i*cores/nodes, (i+1)*cores/nodes
 		for c := lo; c < hi; c++ {
 			m.Nodes[i].Cores = append(m.Nodes[i].Cores, geom.CoreID(c))
@@ -124,10 +134,9 @@ func LocalManifest(nodes, w, h int) (Manifest, error) {
 }
 
 // LoadSpec is the coordinator's "load this run" broadcast: machine
-// configuration plus every thread's program (in the ISA's 32-bit binary
-// encoding — programs are replicated to all nodes, like instruction memory)
-// and the initial memory image, of which each node preloads the addresses
-// it homes.
+// configuration, the thread-slot pool size, and the optional initial Job
+// every node installs before acking — a closed-loop run's programs and
+// image. A serving run leaves Job nil and submits jobs later.
 type LoadSpec struct {
 	GuestContexts int
 	Quantum       int
@@ -135,13 +144,7 @@ type LoadSpec struct {
 	Placement     string // parsed by machine.ParsePlacement on each node
 	LogEvents     bool
 	NumThreads    int
-	Programs      [][]uint32       // Programs[t]: thread t's instructions, isa.Encode form
-	Regs          []map[int]uint32 // initial register values per thread
-	Mem           map[uint32]uint32
-	// Serve opens the machine in job-serving mode: NumThreads sizes a pool
-	// of empty slots (Programs/Regs/Mem stay empty) and programs arrive
-	// per job through JobSubmit frames instead of riding the LoadSpec.
-	Serve bool
+	Job           *JobSpec `json:",omitempty"`
 	// HeartbeatMillis sets the node's liveness/metrics heartbeat interval;
 	// 0 selects the default (500 ms). Heartbeats are advisory — they never
 	// enter any deterministic result surface.
@@ -200,11 +203,10 @@ type CollectChunk struct {
 	Net      *NetStats        `json:",omitempty"`
 }
 
-// JobSpec is one serve-mode job: programs and initial registers for the
-// slots it occupies, plus its slice of the initial memory image. Like the
-// LoadSpec, it is broadcast to every node; each node installs the thread
-// specs (replicated, like instruction memory) and preloads the addresses
-// it homes.
+// JobSpec is one job: programs (isa.Encode form) and initial registers for
+// the slots it occupies, plus its initial memory image. Broadcast to every
+// node (in the LoadSpec or a JobSubmit), each node installs the thread
+// specs (replicated, like instruction memory) and preloads what it homes.
 type JobSpec struct {
 	Job      int
 	Slots    []int            // global thread slots, one per job thread
@@ -388,8 +390,7 @@ type Node struct {
 	evict    map[geom.CoreID]chan Context
 	handler  func(core geom.CoreID, req MemRequest) MemReply
 	invH     func(inv LeaseInval)
-	jobH     func(*JobSpec) error
-	jobDoneH func(JobDone) JobRetired
+	jobs     JobHandler
 	sampleH  func() Sample
 	hbOnce   sync.Once
 	nextID   atomic.Uint64
@@ -591,54 +592,34 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 			n.invH(f.Inv)
 		}
 	case FrameJobSubmit:
-		spec := new(JobSpec)
-		if err := json.Unmarshal(f.Blob, spec); err != nil {
-			return malformedf("job spec: %v", err)
-		}
-		if !n.waitReady() {
-			return errStopRead
-		}
-		if n.jobH == nil {
-			return malformedf("job submit to a node not serving jobs")
-		}
-		// Handled synchronously on the reader goroutine: eviction injections
-		// that follow on this same connection must find the specs installed.
-		ack := JobAck{Job: spec.Job, Node: n.idx}
-		if err := n.jobH(spec); err != nil {
-			ack.Err = err.Error()
-		}
-		return c.sendJSON(FrameJobAck, &ack)
+		return answer(n, c, f, FrameJobAck, func(spec *JobSpec) (JobAck, bool) {
+			ack := JobAck{Job: spec.Job, Node: n.idx}
+			if n.jobs == nil {
+				return ack, false
+			}
+			if err := n.jobs.ApplyJob(spec); err != nil {
+				ack.Err = err.Error()
+			}
+			return ack, true
+		})
 	case FrameJobDone:
-		var d JobDone
-		if err := json.Unmarshal(f.Blob, &d); err != nil {
-			return malformedf("job done: %v", err)
-		}
-		if !n.waitReady() {
-			return errStopRead
-		}
-		if n.jobDoneH == nil {
-			return malformedf("job done to a node not serving jobs")
-		}
-		// Synchronous on the reader, like JobSubmit: the reply confirms the
-		// slots are cleared and the region reclaimed before the coordinator
-		// can reuse either.
-		ret := n.jobDoneH(d)
-		return c.sendJSON(FrameJobRetired, &ret)
+		return answer(n, c, f, FrameJobRetired, func(d *JobDone) (JobRetired, bool) {
+			if n.jobs == nil {
+				return JobRetired{}, false
+			}
+			ret := n.jobs.RetireJob(*d)
+			ret.Node = n.idx
+			return ret, true
+		})
 	case FrameSampleReq:
-		// Synchronous on the reader like the job frames: the reply is cheap
-		// (one lock-light snapshot) and per-connection FIFO pairs it with
-		// its request. Waiting for Ready guarantees the sampler installed
-		// by the node lifecycle is visible.
-		if !n.waitReady() {
-			return errStopRead
-		}
-		rep := NodeSample{Node: n.idx}
-		if s, err := n.Sample(); err != nil {
-			rep.Err = err.Error()
-		} else {
-			rep.Sample = s
-		}
-		return c.sendJSON(FrameSampleRep, &rep)
+		return answer(n, c, f, FrameSampleRep, func(*struct{}) (NodeSample, bool) {
+			s, err := n.Sample()
+			rep := NodeSample{Node: n.idx, Sample: s}
+			if err != nil {
+				rep.Err = err.Error()
+			}
+			return rep, true
+		})
 	case FrameCollect:
 		select {
 		case n.collects <- struct{}{}:
@@ -651,6 +632,30 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 		return malformedf("unexpected frame kind %d on a node link", f.Kind)
 	}
 	return nil
+}
+
+// answer serves one control request synchronously on the reader: decode
+// it (kind-only requests use struct{}), wait for Ready so the installed
+// handlers are visible, and reply on the same connection, where FIFO
+// pairs reply and request. Being synchronous, it orders the request before
+// every later frame on the link: injections after a JobSubmit find the
+// specs installed. handle reports false when no handler is installed —
+// protocol corruption.
+func answer[Req, Rep any](n *Node, c *conn, f Frame, kind FrameKind, handle func(*Req) (Rep, bool)) error {
+	req := new(Req)
+	if _, kindOnly := any(req).(*struct{}); !kindOnly {
+		if err := json.Unmarshal(f.Blob, req); err != nil {
+			return malformedf("kind %d request: %v", f.Kind, err)
+		}
+	}
+	if !n.waitReady() {
+		return errStopRead
+	}
+	rep, ok := handle(req)
+	if !ok {
+		return malformedf("kind %d request to a node not serving jobs", f.Kind)
+	}
+	return c.sendJSON(kind, &rep)
 }
 
 // dialPeer connects to a lower-index peer, retrying until it answers or
@@ -829,17 +834,18 @@ func (n *Node) HandleMem(h func(core geom.CoreID, req MemRequest) MemReply) { n.
 // (write-updates are advisory — holders expire on their own clocks).
 func (n *Node) HandleLeaseInval(h func(inv LeaseInval)) { n.invH = h }
 
-// HandleJob installs the serve-mode job installer, called synchronously on
-// the coordinator link's reader for every JobSubmit (so injections that
-// follow on the same connection find the specs in place). Install before
-// Ready; a JobSubmit with no handler is protocol corruption.
-func (n *Node) HandleJob(h func(*JobSpec) error) { n.jobH = h }
+// JobHandler is the machine side of a node's job control plane
+// (machine.Part): install a job's thread specs and memory image, and
+// retire a finished job's slots and region.
+type JobHandler interface {
+	ApplyJob(*JobSpec) error
+	RetireJob(JobDone) JobRetired
+}
 
-// HandleJobDone installs the retirement callback for JobDone frames. It
-// runs synchronously on the coordinator link's reader (like HandleJob) and
-// its JobRetired reply — slot clearance plus any reclaimed events — goes
-// straight back on the same connection. Install before Ready.
-func (n *Node) HandleJobDone(h func(JobDone) JobRetired) { n.jobDoneH = h }
+// HandleJobs installs the handler JobSubmit and JobDone requests are
+// answered with (see answer); the node stamps its index on each reply.
+// Install before Ready.
+func (n *Node) HandleJobs(h JobHandler) { n.jobs = h }
 
 // HandleSample installs the machine-side sampler behind Sample(): the
 // part's non-destructive snapshot. Install before Ready (like the job
@@ -962,12 +968,10 @@ func (n *Node) SendLeaseInval(inv LeaseInval) error {
 // --- coordinator ---------------------------------------------------------
 
 // Coordinator is the driver side of a cluster run: it owns no cores but
-// connects to every node to broadcast the LoadSpec, inject the initial
-// contexts, gather HALT reports, and collect the post-run state. In serve
-// mode it additionally broadcasts JobSubmit/JobDone frames and gathers the
-// per-node acks.
+// connects to every node to broadcast the LoadSpec, submit and retire
+// jobs, inject the initial contexts, gather HALT reports, and collect the
+// post-run state.
 type Coordinator struct {
-	man    Manifest
 	route  []int
 	conns  []*conn
 	nc     netCounters
@@ -1001,7 +1005,6 @@ func DialCluster(man Manifest, timeout time.Duration) (*Coordinator, error) {
 		return nil, err
 	}
 	co := &Coordinator{
-		man:     man,
 		route:   man.routes(),
 		conns:   make([]*conn, len(man.Nodes)),
 		halts:   make(chan HaltMsg, 4096),

@@ -1,7 +1,9 @@
 package transport_test
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -89,6 +91,36 @@ func TestLocalManifestPartition(t *testing.T) {
 	}
 	if got := man.Cores(); got != 8 {
 		t.Fatalf("cores = %d", got)
+	}
+}
+
+// TestManifestRejectsDuplicateAddrs: two nodes on one address fail
+// validation with the named error, and LocalManifest draws a distinct
+// port per node (every probe listener is held until all are drawn) and
+// releases them all for the nodes to bind.
+func TestManifestRejectsDuplicateAddrs(t *testing.T) {
+	dup := transport.Manifest{W: 2, H: 1, Nodes: []transport.NodeSpec{
+		{Addr: "127.0.0.1:7000", Cores: []geom.CoreID{0}},
+		{Addr: "127.0.0.1:7000", Cores: []geom.CoreID{1}},
+	}}
+	if err := dup.Validate(); !errors.Is(err, transport.ErrDuplicateAddr) {
+		t.Fatalf("duplicate address: Validate = %v, want ErrDuplicateAddr", err)
+	}
+	man, err := transport.LocalManifest(16, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	for i, n := range man.Nodes {
+		if seen[n.Addr] {
+			t.Fatalf("node %d reuses address %s", i, n.Addr)
+		}
+		seen[n.Addr] = true
+		ln, err := net.Listen("tcp", n.Addr)
+		if err != nil {
+			t.Fatalf("node %d address %s still held: %v", i, n.Addr, err)
+		}
+		defer ln.Close()
 	}
 }
 

@@ -74,7 +74,7 @@ func runScaleChannel(t *testing.T, c *Compiled) (*machine.Machine, *machine.Resu
 // runScaleCluster executes the compiled workload on an 8-node cluster over
 // TCP loopback; start spawns each node (in-process goroutine or real
 // process, supplied by the caller).
-func runScaleCluster(t *testing.T, c *Compiled, start func(t *testing.T, man transport.Manifest) func(error) error) *machine.ClusterResult {
+func runScaleCluster(t *testing.T, c *Compiled, start func(t *testing.T, man transport.Manifest) func() error) *machine.ClusterResult {
 	t.Helper()
 	mesh := scaleMesh()
 	man, err := transport.LocalManifest(scaleNodes, mesh.Width(), mesh.Height())
@@ -95,7 +95,9 @@ func runScaleCluster(t *testing.T, c *Compiled, start func(t *testing.T, man tra
 		Mem:     c.Mem,
 	}.Run()
 	if wait != nil {
-		err = wait(err)
+		if nerr := wait(); err == nil {
+			err = nerr
+		}
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -108,20 +110,8 @@ func runScaleCluster(t *testing.T, c *Compiled, start func(t *testing.T, man tra
 
 // inProcessNodes runs every manifest node as a machine.ServeNode goroutine
 // (the em2node code path without process spawn — CI-short friendly).
-func inProcessNodes(t *testing.T, man transport.Manifest) func(error) error {
-	t.Helper()
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- machine.ServeNode(man, i) }(i)
-	}
-	return func(err error) error {
-		for range man.Nodes {
-			if e := <-errs; e != nil && err == nil {
-				err = fmt.Errorf("tcp node: %v", e)
-			}
-		}
-		return err
-	}
+func inProcessNodes(_ *testing.T, man transport.Manifest) func() error {
+	return machine.HostNodes(man)
 }
 
 // assertScaleIdentical is the acceptance comparison: final memory, final
@@ -190,7 +180,7 @@ func TestScaleSmokeEm2nodeBinaries(t *testing.T) {
 
 	c := compileScaleOcean(t)
 	m, ch := runScaleChannel(t, c)
-	tcp := runScaleCluster(t, c, func(t *testing.T, man transport.Manifest) func(error) error {
+	tcp := runScaleCluster(t, c, func(t *testing.T, man transport.Manifest) func() error {
 		path := filepath.Join(t.TempDir(), "manifest.json")
 		if err := man.WriteFile(path); err != nil {
 			t.Fatal(err)

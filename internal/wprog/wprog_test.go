@@ -109,10 +109,7 @@ func runTCP(t *testing.T, c *Compiled, schemeName, placeName string, guests int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- machine.ServeNode(man, i) }(i)
-	}
+	wait := machine.HostNodes(man)
 	res, err := machine.ClusterRun{
 		Manifest: man,
 		Config: machine.ClusterConfig{
@@ -126,10 +123,8 @@ func runTCP(t *testing.T, c *Compiled, schemeName, placeName string, guests int)
 		Threads: c.Threads,
 		Mem:     c.Mem,
 	}.Run()
-	for range man.Nodes {
-		if e := <-errs; e != nil && err == nil {
-			err = fmt.Errorf("tcp node: %v", e)
-		}
+	if nerr := wait(); err == nil {
+		err = nerr
 	}
 	if err != nil {
 		t.Fatal(err)
