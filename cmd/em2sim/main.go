@@ -454,7 +454,7 @@ func runCluster(stdout io.Writer, nodes int, progName, compiledWL string, wcfg w
 	}()
 
 	type outcome struct {
-		res *machine.ClusterResult
+		res *machine.Result
 		err error
 	}
 	done := make(chan outcome, 1)
@@ -472,7 +472,7 @@ func runCluster(stdout io.Writer, nodes int, progName, compiledWL string, wcfg w
 		}.Run()
 		done <- outcome{res, err}
 	}()
-	var res *machine.ClusterResult
+	var res *machine.Result
 	select {
 	case o := <-done:
 		if o.err != nil {
@@ -505,21 +505,17 @@ func runCluster(stdout io.Writer, nodes int, progName, compiledWL string, wcfg w
 	var modelDiffs []string
 	modelCheck := ""
 	if comp != nil {
-		sch, err := machine.ParseScheme(scheme, mesh)
+		mcfg, err := machine.ClusterConfig{Scheme: scheme, Placement: place}.Resolve(mesh)
 		if err != nil {
 			return err
 		}
-		pol, err := machine.ParsePlacement(place, mesh.Cores())
+		model, err := comp.Predict(mesh, mcfg.Scheme, mcfg.Placement, guests)
 		if err != nil {
 			return err
 		}
-		model, err := comp.Predict(mesh, sch, pol, guests)
-		if err != nil {
-			return err
-		}
-		want := wprog.ModelCounts(model, sch)
+		want := wprog.ModelCounts(model, mcfg.Scheme)
 		modelWant = &want
-		modelDiffs = want.Diff(wprog.RuntimeCounts(&res.Result))
+		modelDiffs = want.Diff(wprog.RuntimeCounts(res))
 		switch {
 		case len(modelDiffs) == 0:
 			modelCheck = "exact"

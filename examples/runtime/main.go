@@ -13,8 +13,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/placement"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -39,69 +37,40 @@ func main() {
 		threads[i] = machine.ThreadSpec{Program: prog}
 	}
 
-	// --- In one process: cores are goroutines, channels are the networks.
-	cfg := machine.Config{
-		Mesh:          geom.SquareMesh(16),
-		GuestContexts: 2,
-		Placement:     placement.NewStriped(64, 16),
-		LogEvents:     true,
+	// The same machine on two wires. In one process, cores are goroutines
+	// and Go channels are the networks; on a two-node TCP loopback cluster
+	// of eight cores each, every cross-node migration ships the context's
+	// wire encoding. LogEvents has the runner SC-check every run.
+	cfg := machine.ClusterConfig{GuestContexts: 2, Placement: "striped:64", LogEvents: true}
+	lit := machine.Litmus{Name: "counters", Threads: threads}
+	var retired []int64
+	for _, nodes := range []int{0, 2} {
+		r, err := machine.NewRunner(geom.SquareMesh(16), nodes, cfg)
+		if err != nil {
+			panic(err)
+		}
+		res, err := r.Run(lit)
+		if err != nil {
+			panic(err)
+		}
+		where := "in-process"
+		if nodes > 0 {
+			where = "TCP cluster"
+		}
+		fmt.Printf("\n%s: instructions=%d migrations=%d evictions=%d local-ops=%d\n",
+			where, res.Instructions, res.Migrations, res.Evictions, res.LocalOps)
+		for i, c := range res.NodeCounters {
+			fmt.Printf("  node %d: instructions=%d migrations=%d\n", i, c["instructions"], c["migrations"])
+		}
+		for _, addr := range []uint32{0, 256, 512} {
+			fmt.Printf("  counter @%-4d = %d (want %d)\n", addr, res.Mem[addr], 8*100)
+		}
+		fmt.Printf("  sequential consistency: OK (%d events checked)\n", len(res.Events))
+		retired = append(retired, res.Instructions)
 	}
-	m, err := machine.New(cfg, len(threads))
-	if err != nil {
-		panic(err)
-	}
-	res, err := m.Run(threads)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("\nin-process: instructions=%d migrations=%d evictions=%d local-ops=%d\n",
-		res.Instructions, res.Migrations, res.Evictions, res.LocalOps)
-	for _, addr := range []uint32{0, 256, 512} {
-		fmt.Printf("  counter @%-4d = %d (want %d)\n", addr, m.Read(addr), 8*100)
-	}
-	if err := machine.CheckSC(res.Events); err != nil {
-		panic(err)
-	}
-	fmt.Printf("  sequential consistency: OK (%d events checked)\n", len(res.Events))
 
-	// --- Across the transport: two nodes on TCP loopback, eight cores
-	// each; every cross-node migration ships the context's wire encoding.
-	man, err := transport.LocalManifest(2, 4, 4)
-	if err != nil {
-		panic(err)
-	}
-	wait := machine.HostNodes(man)
-	cres, err := machine.ClusterRun{
-		Manifest: man,
-		Config: machine.ClusterConfig{
-			GuestContexts: 2,
-			Placement:     "striped:64",
-			LogEvents:     true,
-		},
-		Threads: threads,
-	}.Run()
-	if nerr := wait(); err == nil {
-		err = nerr
-	}
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("\nTCP cluster: instructions=%d migrations=%d evictions=%d local-ops=%d\n",
-		cres.Instructions, cres.Migrations, cres.Evictions, cres.LocalOps)
-	for i, c := range cres.NodeCounters {
-		fmt.Printf("  node %d: instructions=%d migrations=%d\n", i, c["instructions"], c["migrations"])
-	}
-	for _, addr := range []uint32{0, 256, 512} {
-		fmt.Printf("  counter @%-4d = %d (want %d)\n", addr, cres.Mem[addr], 8*100)
-	}
-	if err := machine.CheckSC(cres.Events); err != nil {
-		panic(err)
-	}
-	fmt.Printf("  sequential consistency: OK (%d events checked)\n", len(cres.Events))
-
-	if res.Instructions != cres.Instructions {
-		panic(fmt.Sprintf("transports disagree on retired instructions: %d vs %d",
-			res.Instructions, cres.Instructions))
+	if retired[0] != retired[1] {
+		panic(fmt.Sprintf("transports disagree on retired instructions: %d vs %d", retired[0], retired[1]))
 	}
 	fmt.Println("\nboth transports retired the same instruction count — same machine, different wire")
 }

@@ -8,32 +8,61 @@ import (
 	"testing"
 )
 
-// TestSpecRegistry pins the registry's shape: unique names, the gated
-// hot-path set, and both transports covered for every registry workload.
+// TestSpecRegistry pins the registry's shape: every entry's name, order,
+// Gated and FullOnly flags (the -short set is the 29 entries not marked
+// full-only), and both transports covered for every registry workload.
 func TestSpecRegistry(t *testing.T) {
 	t.Parallel()
+	type entry struct {
+		name            string
+		gated, fullOnly bool
+	}
+	want := []entry{
+		{"codec/context-encode", true, false},
+		{"codec/context-decode", true, false},
+		{"codec/context-roundtrip", true, false},
+		{"codec/context-gob-roundtrip", false, false},
+		{"frame/batch-encode", true, false},
+		{"frame/batch-decode", true, false},
+		{"telemetry/sample-encode", true, false},
+		{"lease/lookup-hit", true, false},
+		{"serve/channel", false, false},
+		{"serve/tcp", false, false},
+		{"machine/channel64/ocean", false, false},
+		{"machine/tcp64/ocean", false, false},
+		{"transport/burst-coalesce", false, false},
+		{"machine/channel/counter", false, false},
+		{"machine/tcp/counter", false, false},
+		{"machine/channel/spinlock", false, false},
+		{"machine/tcp/spinlock", false, false},
+		{"machine/channel/rand-priv-1", false, false},
+		{"machine/tcp/rand-priv-1", false, false},
+		{"machine/channel/m3-pingpong", false, false},
+		{"machine/tcp/m3-pingpong", false, false},
+		{"machine/channel/m3-runs", false, true},
+		{"machine/tcp/m3-runs", false, true},
+		{"machine/channel/m3-walk", false, true},
+		{"machine/tcp/m3-walk", false, true},
+		{"machine/channel/ocean", false, false},
+		{"machine/tcp/ocean", false, false},
+		{"machine/channel/ocean-hybrid", true, false},
+		{"machine/tcp/ocean-hybrid", true, false},
+		{"machine/channel/fft", false, false},
+		{"machine/tcp/fft", false, false},
+		{"machine/channel/barnes", false, false},
+		{"machine/tcp/barnes", false, false},
+	}
+	var got []entry
 	seen := make(map[string]bool)
-	var gated []string
 	for _, s := range Specs() {
-		if seen[s.Name] {
-			t.Errorf("duplicate benchmark name %q", s.Name)
-		}
-		seen[s.Name] = true
 		if s.Run == nil {
 			t.Errorf("benchmark %q has no body", s.Name)
 		}
-		if s.Gated {
-			gated = append(gated, s.Name)
-		}
+		got = append(got, entry{s.Name, s.Gated, s.FullOnly})
+		seen[s.Name] = true
 	}
-	want := []string{
-		"codec/context-encode", "codec/context-decode", "codec/context-roundtrip",
-		"frame/batch-encode", "frame/batch-decode", "telemetry/sample-encode",
-		"lease/lookup-hit",
-		"machine/channel/ocean-hybrid", "machine/tcp/ocean-hybrid",
-	}
-	if !reflect.DeepEqual(gated, want) {
-		t.Errorf("gated set %v, want %v", gated, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("registry:\n got  %v\n want %v", got, want)
 	}
 	for _, wl := range Workloads() {
 		for _, tr := range []string{"machine/channel/", "machine/tcp/"} {
@@ -41,9 +70,6 @@ func TestSpecRegistry(t *testing.T) {
 				t.Errorf("workload %q missing %s benchmark", wl, tr)
 			}
 		}
-	}
-	if !seen["codec/context-gob-roundtrip"] {
-		t.Error("gob reference benchmark missing (the v1-vs-v2 evidence)")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/machine"
-	"repro/internal/placement"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -62,12 +61,11 @@ func benchBatchFrames() []transport.Frame {
 // benchWorkload is one registry workload the machine benchmarks drive over
 // both transports.
 type benchWorkload struct {
-	lit        machine.Litmus
-	guests     int
-	scheme     core.Scheme // channel transport
-	schemeName string      // TCP transport (parsed on each node)
-	full       bool        // skipped under -short
-	gated      bool        // allocs/op is a CI invariant on both transports
+	lit    machine.Litmus
+	guests int
+	scheme string
+	full   bool // skipped under -short
+	gated  bool // allocs/op is a CI invariant on both transports
 }
 
 // benchWorkloads returns the registry workloads, sized down under short.
@@ -79,15 +77,14 @@ func benchWorkloads(short bool) []benchWorkload {
 		counter, spinlock = machine.AtomicCounterLitmus(4, 10), machine.SpinlockLitmus(2, 6)
 	}
 	wls := []benchWorkload{
-		{lit: counter, guests: 2, scheme: core.AlwaysMigrate{}, schemeName: "always-migrate"},
-		{lit: spinlock, guests: 2, scheme: core.AlwaysMigrate{}, schemeName: "always-migrate"},
+		{lit: counter, guests: 2, scheme: "always-migrate"},
+		{lit: spinlock, guests: 2, scheme: "always-migrate"},
 		// The predictor-state trailer rides every migration under history:2.
-		{lit: machine.RandomLitmus(1, machine.RandOpts{PrivateWrites: true}),
-			guests: 0, scheme: core.NewHistory(2), schemeName: "history:2"},
+		{lit: machine.RandomLitmus(1, machine.RandOpts{PrivateWrites: true}), scheme: "history:2"},
 	}
 	for i, lit := range sim.M3MicroLitmuses() {
 		wls = append(wls, benchWorkload{
-			lit: lit, scheme: core.AlwaysMigrate{}, schemeName: "always-migrate",
+			lit: lit, scheme: "always-migrate",
 			full: i > 0, // pingpong always; runs/walk only in full mode
 		})
 	}
@@ -108,19 +105,18 @@ var compiledWorkloads = func() func(short bool) []benchWorkload {
 			name   string // workload to compile
 			bench  string // registry name ("" = workload name)
 			cfg    workload.Config
-			scheme core.Scheme
-			sname  string
+			scheme string
 			gated  bool
 		}{
-			{"ocean", "", workload.Config{Threads: 4, Scale: 16, Iters: 1, Seed: 2011}, core.NewHistory(2), "history:2", false},
+			{"ocean", "", workload.Config{Threads: 4, Scale: 16, Iters: 1, Seed: 2011}, "history:2", false},
 			// The same trace under the hybrid coherence scheme: leased
 			// remote reads plus history-driven write migration. Gated —
 			// the lease path must never regress the run's allocation
 			// budget (both sides hold per-core caches and the shard
 			// lease table at fixed capacity).
-			{"ocean", "ocean-hybrid", workload.Config{Threads: 4, Scale: 16, Iters: 1, Seed: 2011}, core.NewHybrid(16), "hybrid:16", true},
-			{"fft", "", workload.Config{Threads: 4, Scale: 16, Iters: 1, Seed: 2011}, core.AlwaysMigrate{}, "always-migrate", false},
-			{"barnes", "", workload.Config{Threads: 4, Scale: 8, Iters: 1, Seed: 2011}, core.AlwaysMigrate{}, "always-migrate", false},
+			{"ocean", "ocean-hybrid", workload.Config{Threads: 4, Scale: 16, Iters: 1, Seed: 2011}, "hybrid:16", true},
+			{"fft", "", workload.Config{Threads: 4, Scale: 16, Iters: 1, Seed: 2011}, "always-migrate", false},
+			{"barnes", "", workload.Config{Threads: 4, Scale: 8, Iters: 1, Seed: 2011}, "always-migrate", false},
 		}
 		if short {
 			for i := range specs {
@@ -137,7 +133,7 @@ var compiledWorkloads = func() func(short bool) []benchWorkload {
 			if s.bench != "" {
 				lit.Name = s.bench
 			}
-			out = append(out, benchWorkload{lit: lit, scheme: s.scheme, schemeName: s.sname, gated: s.gated})
+			out = append(out, benchWorkload{lit: lit, scheme: s.scheme, gated: s.gated})
 		}
 		return out
 	}
@@ -153,73 +149,57 @@ var compiledWorkloads = func() func(short bool) []benchWorkload {
 
 func benchMesh() geom.Mesh { return geom.NewMesh(2, 2) }
 
-func machineConfig(w benchWorkload) machine.Config {
-	return machine.Config{
-		Mesh:          benchMesh(),
-		GuestContexts: w.guests,
-		Placement:     placement.NewStriped(64, benchMesh().Cores()),
-		Scheme:        w.scheme,
-		Quantum:       16,
+// mustRunner builds a registry entry's runner. Every registry
+// configuration is a constant, so a rejection is a programming error.
+func mustRunner(mesh geom.Mesh, nodes int, cfg machine.ClusterConfig) *machine.Runner {
+	r, err := machine.NewRunner(mesh, nodes, cfg)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
 	}
+	return r
 }
 
-// runChannel executes one workload end-to-end on the in-process channel
-// transport and validates its outcome.
-func runChannel(w benchWorkload) (*machine.Result, error) {
-	m, err := machine.New(machineConfig(w), len(w.lit.Threads))
-	if err != nil {
-		return nil, err
-	}
-	for a, v := range w.lit.Mem {
-		m.Preload(a, v, 0)
-	}
-	res, err := m.Run(w.lit.Threads)
-	if err != nil {
-		return nil, err
-	}
-	if w.lit.Check != nil {
-		if err := w.lit.Check(m.Read, res.FinalRegs); err != nil {
-			return nil, err
+// machineSpec is the one body of every machine/* entry: b.N closed-loop
+// runs of the workload lit(short) through r, reporting message and flit
+// rates, plus the batching evidence when r runs on TCP.
+func machineSpec(name string, full, gated bool, r *machine.Runner, lit func(short bool) machine.Litmus) Spec {
+	return Spec{Name: name, FullOnly: full, Gated: gated, Run: func(b *testing.B, short bool, side *Side) {
+		l := lit(short)
+		var msgs, flits int64
+		var net, coord transport.NetStats
+		var last *machine.Result
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := r.Run(l)
+			if err != nil {
+				side.Fail(b, err)
+			}
+			msgs += wireMsgs(res)
+			flits += res.ContextFlits
+			for _, s := range res.NodeNet {
+				net = net.Add(s)
+			}
+			coord = coord.Add(res.CoordNet)
+			last = res
 		}
-	}
-	return res, nil
-}
-
-// runTCP executes one workload on a two-node TCP-loopback cluster (node
-// endpoints hosted in-process): real sockets, real batch frames, real
-// context serialization.
-func runTCP(w benchWorkload) (*machine.ClusterResult, error) {
-	mesh := benchMesh()
-	man, err := transport.LocalManifest(2, mesh.Width(), mesh.Height())
-	if err != nil {
-		return nil, err
-	}
-	wait := machine.HostNodes(man)
-	res, err := machine.ClusterRun{
-		Manifest: man,
-		Config: machine.ClusterConfig{
-			GuestContexts: w.guests,
-			Quantum:       16,
-			Scheme:        w.schemeName,
-			Placement:     "striped:64",
-			Timeout:       60 * time.Second,
-		},
-		Threads: w.lit.Threads,
-		Mem:     w.lit.Mem,
-	}.Run()
-	if nerr := wait(); err == nil {
-		err = nerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if w.lit.Check != nil {
-		read := func(a uint32) uint32 { return res.Mem[a] }
-		if err := w.lit.Check(read, res.FinalRegs); err != nil {
-			return nil, err
+		reportRates(b, msgs, flits)
+		side.PerCore = last.PerCore
+		if len(last.NodeNet) == 0 {
+			return // a channel run has no wire
 		}
-	}
-	return res, nil
+		// The batching evidence: frames shipped per write syscall across
+		// the whole run, and syscalls per op. The coordinator's writes/op
+		// stays O(nodes), and coord_msgs/batch shows the injection
+		// coalescing (a run's initial contexts reach each node in one
+		// write).
+		b.ReportMetric(net.MsgsPerBatch(), "msgs/batch")
+		b.ReportMetric(float64(net.BatchesSent)/float64(b.N), "writes/op")
+		b.ReportMetric(float64(net.MsgsSent)/float64(b.N), "wiremsgs/op")
+		b.ReportMetric(float64(coord.BatchesSent)/float64(b.N), "coord_writes/op")
+		b.ReportMetric(coord.MsgsPerBatch(), "coord_msgs/batch")
+		agg := net
+		side.Net = &agg
+	}}
 }
 
 // runBurstCoalesce measures the transport's coalescing in isolation: two
@@ -507,69 +487,16 @@ func Specs() []Spec {
 	})
 
 	for _, w := range benchWorkloads(false) {
+		cfg := machine.ClusterConfig{GuestContexts: w.guests, Quantum: 16, Scheme: w.scheme, Placement: "striped:64"}
+		lit := func(short bool) machine.Litmus {
+			if short {
+				return shortVariant(w).lit
+			}
+			return w.lit
+		}
 		specs = append(specs,
-			Spec{
-				Name: "machine/channel/" + w.lit.Name, FullOnly: w.full, Gated: w.gated,
-				Run: func(b *testing.B, short bool, side *Side) {
-					ws := w
-					if short {
-						ws = shortVariant(w)
-					}
-					var msgs, flits int64
-					var last *machine.Result
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						res, err := runChannel(ws)
-						if err != nil {
-							side.Fail(b, err)
-						}
-						msgs += wireMsgs(res)
-						flits += res.ContextFlits
-						last = res
-					}
-					reportRates(b, msgs, flits)
-					side.PerCore = last.PerCore
-				},
-			},
-			Spec{
-				Name: "machine/tcp/" + w.lit.Name, FullOnly: w.full, Gated: w.gated,
-				Run: func(b *testing.B, short bool, side *Side) {
-					ws := w
-					if short {
-						ws = shortVariant(w)
-					}
-					var msgs, flits int64
-					var net, coord transport.NetStats
-					var last *machine.ClusterResult
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						res, err := runTCP(ws)
-						if err != nil {
-							side.Fail(b, err)
-						}
-						msgs += wireMsgs(&res.Result)
-						flits += res.ContextFlits
-						for _, s := range res.NodeNet {
-							net = net.Add(s)
-						}
-						coord = coord.Add(res.CoordNet)
-						last = res
-					}
-					reportRates(b, msgs, flits)
-					// The batching evidence: frames shipped per write
-					// syscall across the whole run, and syscalls per op.
-					// coord_msgs/batch shows the injection coalescing (a
-					// run's initial contexts reach each node in one write).
-					b.ReportMetric(net.MsgsPerBatch(), "msgs/batch")
-					b.ReportMetric(float64(net.BatchesSent)/float64(b.N), "writes/op")
-					b.ReportMetric(float64(net.MsgsSent)/float64(b.N), "wiremsgs/op")
-					b.ReportMetric(coord.MsgsPerBatch(), "coord_msgs/batch")
-					side.PerCore = last.PerCore
-					agg := net
-					side.Net = &agg
-				},
-			},
-		)
+			machineSpec("machine/channel/"+w.lit.Name, w.full, w.gated, mustRunner(benchMesh(), 0, cfg), lit),
+			machineSpec("machine/tcp/"+w.lit.Name, w.full, w.gated, mustRunner(benchMesh(), 2, cfg), lit))
 	}
 	return specs
 }
@@ -604,7 +531,7 @@ func reportServe(b *testing.B, rep *serve.Report) {
 }
 
 // runServeTCP executes one serving run on a self-hosted two-node TCP
-// cluster, mirroring runTCP's node hosting.
+// cluster.
 func runServeTCP(cfg serve.Config) (*serve.Report, error) {
 	man, err := transport.LocalManifest(2, cfg.W, cfg.H)
 	if err != nil {

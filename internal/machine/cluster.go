@@ -178,21 +178,19 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	// this process exits: "unknown scheme …" at the driver beats a bare
 	// connection death.
 	failLoad := func(err error) error {
-		if serr := tn.SendLoadAck(transport.LoadAck{Node: idx, Err: err.Error()}); serr != nil {
+		if serr := tn.SendLoadAck(transport.JobAck{Node: idx, Err: err.Error()}); serr != nil {
 			return fmt.Errorf("%w (and the load ack did not reach the coordinator: %v)", err, serr)
 		}
 		return err
 	}
-	cfg := Config{
-		Mesh:          geom.NewMesh(man.W, man.H),
+	cfg, err := ClusterConfig{
 		GuestContexts: spec.GuestContexts,
 		Quantum:       spec.Quantum,
+		Scheme:        spec.Scheme,
+		Placement:     spec.Placement,
 		LogEvents:     spec.LogEvents,
-	}
-	if cfg.Placement, err = ParsePlacement(spec.Placement, cfg.Mesh.Cores()); err != nil {
-		return failLoad(err)
-	}
-	if cfg.Scheme, err = ParseScheme(spec.Scheme, cfg.Mesh); err != nil {
+	}.Resolve(geom.NewMesh(man.W, man.H))
+	if err != nil {
 		return failLoad(err)
 	}
 	tn.Prepare(spec.NumThreads)
@@ -225,7 +223,7 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 		}
 	}
 	tn.Ready() // open the data plane: Prepare'd inboxes + handler are live
-	if err := tn.SendLoadAck(transport.LoadAck{Node: idx}); err != nil {
+	if err := tn.SendLoadAck(transport.JobAck{Node: idx}); err != nil {
 		return err
 	}
 	hb := spec.HeartbeatMillis
@@ -282,9 +280,10 @@ func HostNodes(man transport.Manifest) (wait func() error) {
 	}
 }
 
-// ClusterConfig describes a cluster run. Scheme and Placement travel by
-// name (see ParseScheme/ParsePlacement); zero values select pure EM² over
-// 64-byte striping with a 60 s timeout.
+// ClusterConfig describes a run by names: Scheme and Placement travel as
+// wire names (see ParseScheme/ParsePlacement) and every node resolves
+// them itself. Zero values select pure EM² over 64-byte striping with a
+// 60 s timeout.
 type ClusterConfig struct {
 	GuestContexts int
 	Quantum       int
@@ -294,18 +293,26 @@ type ClusterConfig struct {
 	Timeout       time.Duration
 }
 
-// ClusterResult is a cluster run's outcome: the aggregate Result plus the
-// merged final memory image, the per-node counter breakdown, and each
-// node's wire-level traffic counters (index-aligned with NodeCounters).
-type ClusterResult struct {
-	Result
-	Mem          map[uint32]uint32
-	NodeCounters []map[string]int64
-	NodeNet      []transport.NetStats
-	// CoordNet is the coordinator's own wire traffic; its send side shows
-	// the injection batching (a whole run's initial contexts reach each
-	// node in one write).
-	CoordNet transport.NetStats
+// Resolve is the one path from names to a runtime Config: it applies the
+// default scheme and placement, parses both for mesh, and validates the
+// result. ServeNode, ClusterRun, NewRunner and the serve backends all come
+// through here, so the coordinator rejects exactly what a node would.
+func (c ClusterConfig) Resolve(mesh geom.Mesh) (Config, error) {
+	if c.Scheme == "" {
+		c.Scheme = "always-migrate"
+	}
+	if c.Placement == "" {
+		c.Placement = "striped:64"
+	}
+	cfg := Config{Mesh: mesh, GuestContexts: c.GuestContexts, Quantum: c.Quantum, LogEvents: c.LogEvents}
+	var err error
+	if cfg.Placement, err = ParsePlacement(c.Placement, mesh.Cores()); err != nil {
+		return Config{}, err
+	}
+	if cfg.Scheme, err = ParseScheme(c.Scheme, mesh); err != nil {
+		return Config{}, err
+	}
+	return cfg, cfg.Validate()
 }
 
 // heartbeatSummary renders the coordinator's last-seen heartbeats for a
@@ -368,44 +375,40 @@ type ClusterRun struct {
 // await HALTs, collect, shut down. The node processes (ServeNode /
 // cmd/em2node) must be starting or started on the manifest's addresses;
 // dialing retries until Config.Timeout.
-func (r ClusterRun) Run() (*ClusterResult, error) {
-	man, cfg, threads, mem := r.Manifest, r.Config, r.Threads, r.Mem
-	if err := man.Validate(); err != nil {
+func (r ClusterRun) Run() (*Result, error) {
+	if err := r.Manifest.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = "always-migrate"
-	}
-	if cfg.Placement == "" {
-		cfg.Placement = "striped:64"
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 60 * time.Second
-	}
-	mesh := geom.NewMesh(man.W, man.H)
-	// Fail fast on the coordinator for anything a node would reject: build
-	// and validate the exact Config every node will build from the spec,
-	// and the run's initial job every node will install.
-	var err error
-	nodeCfg := Config{Mesh: mesh, GuestContexts: cfg.GuestContexts, Quantum: cfg.Quantum}
-	if nodeCfg.Placement, err = ParsePlacement(cfg.Placement, mesh.Cores()); err != nil {
+	// Fail fast on the coordinator for anything a node would reject: the
+	// exact Config every node will resolve from the spec, and the run's
+	// initial job every node will install.
+	if _, err := r.Config.Resolve(geom.NewMesh(r.Manifest.W, r.Manifest.H)); err != nil {
 		return nil, err
 	}
-	if nodeCfg.Scheme, err = ParseScheme(cfg.Scheme, mesh); err != nil {
+	job, err := initialJob(r.Threads, r.Mem)
+	if err != nil {
 		return nil, err
 	}
-	if err := nodeCfg.Validate(); err != nil {
-		return nil, err
-	}
+	return r.run(job)
+}
+
+// initialJob packs a closed-loop run's threads as the load's initial job:
+// job 0 over slots 0..n-1.
+func initialJob(threads []ThreadSpec, mem map[uint32]uint32) (*transport.JobSpec, error) {
 	slots := make([]int, len(threads))
 	for t := range slots {
 		slots[t] = t
 	}
-	job, err := BuildJob(0, slots, threads, mem)
-	if err != nil {
-		return nil, err
-	}
+	return BuildJob(0, slots, threads, mem)
+}
 
+// run is Run after the coordinator-side checks, with the initial job
+// already built.
+func (r ClusterRun) run(job *transport.JobSpec) (*Result, error) {
+	man, cfg, threads := r.Manifest, r.Config, r.Threads
+	if cfg.Timeout == 0 {
+		cfg.Timeout = 60 * time.Second
+	}
 	co, err := transport.DialCluster(man, cfg.Timeout)
 	if err != nil {
 		return nil, err
@@ -429,7 +432,7 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 	}
 	// Injections coalesce per node; the whole run's initial contexts reach
 	// each node in one batch write.
-	if err := Inject(threads, mesh.Cores(), co.InjectEviction); err != nil {
+	if err := Inject(threads, man.W*man.H, co.InjectEviction); err != nil {
 		return nil, err
 	}
 	if err := co.Flush(); err != nil {
@@ -442,7 +445,7 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &ClusterResult{Mem: make(map[uint32]uint32)}
+	res := &Result{Mem: make(map[uint32]uint32)}
 	res.FinalRegs = make([][isa.NumRegs]uint32, len(threads))
 	var maxCycles uint64
 	for t, h := range halts {

@@ -67,7 +67,7 @@ func reexecNode(manifestPath string, node int) *exec.Cmd {
 
 // runOnProcesses executes lit on a real multi-process TCP-loopback
 // cluster and validates SC plus the litmus post-condition.
-func runOnProcesses(t *testing.T, nodes int, lit Litmus, start func(string, int) *exec.Cmd) *ClusterResult {
+func runOnProcesses(t *testing.T, nodes int, lit Litmus, start func(string, int) *exec.Cmd) *Result {
 	t.Helper()
 	man, err := transport.LocalManifest(nodes, 2, 2)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // endpoints run in-process (goroutines hosting ServeNode) — real sockets,
 // real gob frames, real ContextWireBytes serialization, without process-
 // spawn overhead. The separate multi-process test lives in cluster_test.go.
-func runOnTCP(t *testing.T, nodes, w, h int, cfg ClusterConfig, lit Litmus) *ClusterResult {
+func runOnTCP(t *testing.T, nodes, w, h int, cfg ClusterConfig, lit Litmus) *Result {
 	t.Helper()
 	man, err := transport.LocalManifest(nodes, w, h)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestDifferentialInProcVsTCP(t *testing.T) {
 	for _, lit := range cases {
 		t.Run(lit.Name, func(t *testing.T) {
 			cfg := litmusConfig()
-			m, inproc := runLitmus(t, cfg, lit)
+			inproc := runLitmus(t, cfg, lit)
 			tcp := runOnTCP(t, 2, 2, 2, ClusterConfig{
 				GuestContexts: cfg.GuestContexts,
 				Quantum:       cfg.Quantum,
@@ -69,7 +69,7 @@ func TestDifferentialInProcVsTCP(t *testing.T) {
 				LogEvents:     true,
 			}, lit)
 
-			inMem, tcpMem := m.MemImage(), tcp.Mem
+			inMem, tcpMem := inproc.Mem, tcp.Mem
 			if lit.Deterministic {
 				if !reflect.DeepEqual(inMem, tcpMem) {
 					t.Fatalf("final memory images differ:\n in-proc %v\n tcp     %v",
@@ -201,15 +201,15 @@ func TestDifferentialHistoryScheme(t *testing.T) {
 			cfg := litmusConfig()
 			cfg.GuestContexts = 0
 			cfg.Scheme = core.NewHistory(2)
-			m, inproc := runLitmus(t, cfg, lit)
+			inproc := runLitmus(t, cfg, lit)
 			tcp := runOnTCP(t, 2, 2, 2, ClusterConfig{
 				Quantum:   cfg.Quantum,
 				Scheme:    "history:2",
 				Placement: "striped:64",
 				LogEvents: true,
 			}, lit)
-			if !reflect.DeepEqual(m.MemImage(), tcp.Mem) {
-				t.Fatalf("final memory images differ:\n in-proc %v\n tcp     %v", m.MemImage(), tcp.Mem)
+			if !reflect.DeepEqual(inproc.Mem, tcp.Mem) {
+				t.Fatalf("final memory images differ:\n in-proc %v\n tcp     %v", inproc.Mem, tcp.Mem)
 			}
 			if !reflect.DeepEqual(inproc.FinalRegs, tcp.FinalRegs) {
 				t.Fatalf("final registers differ:\n in-proc %v\n tcp     %v", inproc.FinalRegs, tcp.FinalRegs)

@@ -105,7 +105,7 @@ func TestClusterRunRejectsBogusHalts(t *testing.T) {
 				tn.Ready()
 				// Stub node: a failed send just means the coordinator tore
 				// down first, which the barrier under test then reports.
-				_ = tn.SendLoadAck(transport.LoadAck{Node: 0}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
+				_ = tn.SendLoadAck(transport.JobAck{Node: 0}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
 				for _, th := range tc.halts {
 					_ = tn.SendHalt(transport.HaltMsg{Thread: th}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
 				}

@@ -24,7 +24,7 @@ func litmusConfig() Config {
 
 // runLitmus executes lit once on the in-process machine and validates the
 // recorded execution against SC from the preloaded image.
-func runLitmus(t *testing.T, cfg Config, lit Litmus) (*Machine, *Result) {
+func runLitmus(t *testing.T, cfg Config, lit Litmus) *Result {
 	t.Helper()
 	m, err := New(cfg, len(lit.Threads))
 	if err != nil {
@@ -46,7 +46,7 @@ func runLitmus(t *testing.T, cfg Config, lit Litmus) (*Machine, *Result) {
 			t.Fatalf("%s: %v", lit.Name, err)
 		}
 	}
-	return m, res
+	return res
 }
 
 func TestBuiltinLitmuses(t *testing.T) {
@@ -98,12 +98,12 @@ func TestRandomLitmusPrivateDeterminism(t *testing.T) {
 	t.Parallel()
 	for seed := 0; seed < sized(8, 3); seed++ {
 		lit := RandomLitmus(uint64(seed), RandOpts{PrivateWrites: true})
-		m1, r1 := runLitmus(t, litmusConfig(), lit)
-		m2, r2 := runLitmus(t, litmusConfig(), lit)
+		r1 := runLitmus(t, litmusConfig(), lit)
+		r2 := runLitmus(t, litmusConfig(), lit)
 		if !reflect.DeepEqual(r1.FinalRegs, r2.FinalRegs) {
 			t.Fatalf("seed %d: final registers differ between runs", seed)
 		}
-		if !reflect.DeepEqual(m1.MemImage(), m2.MemImage()) {
+		if !reflect.DeepEqual(r1.Mem, r2.Mem) {
 			t.Fatalf("seed %d: memory images differ between runs", seed)
 		}
 	}
@@ -115,7 +115,7 @@ func TestRandomLitmusPrivateDeterminism(t *testing.T) {
 func TestRandomLitmusTerminates(t *testing.T) {
 	t.Parallel()
 	lit := RandomLitmus(1, RandOpts{Threads: 4, Ops: 10, Iters: 6})
-	_, res := runLitmus(t, litmusConfig(), lit)
+	res := runLitmus(t, litmusConfig(), lit)
 	perThread := int64(2 + 6*(10+2) + 1) // prologue + iters×(body+loop ctl) + halt
 	if res.Instructions > int64(len(lit.Threads))*perThread {
 		t.Fatalf("instructions = %d, bound %d", res.Instructions, int64(len(lit.Threads))*perThread)

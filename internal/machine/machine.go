@@ -115,6 +115,16 @@ type Result struct {
 	// Events is the merged memory-event log (LogEvents only), suitable for
 	// CheckSC.
 	Events []Event
+	// Mem is the final memory image: every word any shard holds.
+	Mem map[uint32]uint32
+
+	// A cluster run also reports each node's counters and wire traffic,
+	// index-aligned by node, and the coordinator's own wire traffic (its
+	// send side shows the injection batching: a whole run's initial
+	// contexts reach each node in one write). Empty on a channel run.
+	NodeCounters []map[string]int64
+	NodeNet      []transport.NetStats
+	CoordNet     transport.NetStats
 }
 
 // addCounters accumulates one part's collected counter map into r.
@@ -175,13 +185,6 @@ func (m *Machine) Read(addr uint32) uint32 {
 	return v
 }
 
-// MemImage returns a copy of the machine's entire memory contents — every
-// word any shard holds — for whole-state comparisons (the differential
-// transport tests).
-func (m *Machine) MemImage() map[uint32]uint32 {
-	return m.part.MemImage()
-}
-
 // Run executes the threads to completion and returns aggregate results.
 // Thread t starts at core t mod cores. A machine runs once.
 func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
@@ -211,7 +214,7 @@ func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
 	}
 
 	coll := m.part.Collect(0)
-	res := &Result{PerCore: coll.PerCore, FinalRegs: make([][isa.NumRegs]uint32, len(threads))}
+	res := &Result{PerCore: coll.PerCore, FinalRegs: make([][isa.NumRegs]uint32, len(threads)), Mem: coll.Mem}
 	res.addCounters(coll.Counters)
 	for t, h := range hs {
 		res.FinalRegs[t] = h.Regs

@@ -425,19 +425,6 @@ func (p *Part) ReclaimRegion(lo, hi uint32) ([]transport.Event, int) {
 	return events, words
 }
 
-// MemImage returns a copy of every word this part's shards hold, without
-// duplicating event logs or counters.
-func (p *Part) MemImage() map[uint32]uint32 {
-	out := make(map[uint32]uint32)
-	for _, id := range p.tr.Owned() {
-		//em2:unordered-ok: shard images are address-disjoint (single-home invariant); merge order cannot matter
-		for a, v := range p.shards[id].image() {
-			out[a] = v
-		}
-	}
-	return out
-}
-
 // toWire serializes a resident context for the transport, including the
 // thread's predictor state and instruction-progress flag.
 func (p *Part) toWire(c *context) transport.Context {

@@ -198,22 +198,10 @@ func (s *shard) peek(addr uint32) uint32 {
 func (s *shard) snapshot() (map[uint32]uint32, []Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.imageLocked(), append([]Event(nil), s.events...)
-}
-
-// image copies only the memory contents, for callers that do not want the
-// event log duplicated.
-func (s *shard) image() map[uint32]uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.imageLocked()
-}
-
-func (s *shard) imageLocked() map[uint32]uint32 {
-	m := make(map[uint32]uint32, len(s.mem))
+	mem := make(map[uint32]uint32, len(s.mem))
 	//em2:unordered-ok: map-to-map copy; the result is order-independent
 	for a, v := range s.mem {
-		m[a] = v
+		mem[a] = v
 	}
-	return m
+	return mem, append([]Event(nil), s.events...)
 }

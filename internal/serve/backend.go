@@ -50,16 +50,8 @@ type DrainResult struct {
 // arrival timing between unrelated cores, which would make job latencies
 // schedule-dependent and break the byte-identical report guarantee.
 func machineConfig(cfg Config) (machine.Config, error) {
-	mesh := geom.NewMesh(cfg.W, cfg.H)
-	mcfg := machine.Config{Mesh: mesh, Quantum: cfg.Quantum, LogEvents: true}
-	var err error
-	if mcfg.Placement, err = machine.ParsePlacement(cfg.Placement, mesh.Cores()); err != nil {
-		return machine.Config{}, err
-	}
-	if mcfg.Scheme, err = machine.ParseScheme(cfg.Scheme, mesh); err != nil {
-		return machine.Config{}, err
-	}
-	return mcfg, nil
+	return machine.ClusterConfig{Quantum: cfg.Quantum, Scheme: cfg.Scheme, Placement: cfg.Placement, LogEvents: true}.
+		Resolve(geom.NewMesh(cfg.W, cfg.H))
 }
 
 // localBackend serves jobs on an in-process Part over the channel

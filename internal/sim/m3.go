@@ -10,7 +10,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 // M3 is the runtime-vs-model experiment: the same memory-access sequences
@@ -135,79 +134,30 @@ func m3ModelCounts(scheme core.Scheme, tr *trace.Trace) (mig, remote, local int6
 	return res.Migrations, res.RemoteAccesses, res.Local
 }
 
-// m3MachineConfig is the runtime configuration matching m3ModelCounts.
-func m3MachineConfig(scheme core.Scheme) machine.Config {
-	return machine.Config{
-		Mesh:      m3Mesh(),
-		Placement: placement.NewStriped(64, m3Mesh().Cores()),
-		Scheme:    scheme,
-		Quantum:   8,
-		LogEvents: true,
+// runBoth runs lit under cfg, with the execution recorded for the SC
+// check, on the M3 platform twice: on the in-process channel machine, and
+// then on a two-node TCP-loopback cluster. The first failure stops it.
+func runBoth(cfg machine.ClusterConfig, lit machine.Litmus) (ch, tcp *machine.Result, err error) {
+	cfg.LogEvents = true
+	run := func(nodes int) (*machine.Result, error) {
+		r, err := machine.NewRunner(m3Mesh(), nodes, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return r.Run(lit)
 	}
+	if ch, err = run(0); err != nil {
+		return nil, nil, err
+	}
+	if tcp, err = run(2); err != nil {
+		return nil, nil, err
+	}
+	return ch, tcp, nil
 }
 
-// m3RunChannel executes lit on the in-process channel transport, SC-checks
-// the recorded execution, and runs the litmus post-condition if any.
-func m3RunChannel(scheme core.Scheme, lit machine.Litmus) (*machine.Result, error) {
-	m, err := machine.New(m3MachineConfig(scheme), len(lit.Threads))
-	if err != nil {
-		return nil, err
-	}
-	//em2:unordered-ok: Preload writes each address into its home shard's map; the final image is order-independent
-	for a, v := range lit.Mem {
-		m.Preload(a, v, 0)
-	}
-	res, err := m.Run(lit.Threads)
-	if err != nil {
-		return nil, err
-	}
-	if err := machine.CheckSCFrom(lit.Mem, res.Events); err != nil {
-		return nil, fmt.Errorf("channel transport: %v", err)
-	}
-	if lit.Check != nil {
-		if err := lit.Check(m.Read, res.FinalRegs); err != nil {
-			return nil, fmt.Errorf("channel transport: %v", err)
-		}
-	}
-	return res, nil
-}
-
-// m3RunTCP executes lit on a two-node TCP-loopback cluster (node endpoints
-// hosted in-process), SC-checks, and runs the litmus post-condition.
-func m3RunTCP(schemeName string, lit machine.Litmus) (*machine.ClusterResult, error) {
-	mesh := m3Mesh()
-	man, err := transport.LocalManifest(2, mesh.Width(), mesh.Height())
-	if err != nil {
-		return nil, err
-	}
-	wait := machine.HostNodes(man)
-	res, err := machine.ClusterRun{
-		Manifest: man,
-		Config: machine.ClusterConfig{
-			Quantum:   8,
-			Scheme:    schemeName,
-			Placement: "striped:64",
-			LogEvents: true,
-		},
-		Threads: lit.Threads,
-		Mem:     lit.Mem,
-	}.Run()
-	if nerr := wait(); err == nil {
-		err = nerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := machine.CheckSCFrom(lit.Mem, res.Events); err != nil {
-		return nil, fmt.Errorf("tcp transport: %v", err)
-	}
-	if lit.Check != nil {
-		read := func(a uint32) uint32 { return res.Mem[a] }
-		if err := lit.Check(read, res.FinalRegs); err != nil {
-			return nil, fmt.Errorf("tcp transport: %v", err)
-		}
-	}
-	return res, nil
+// m3Config is the runtime configuration matching m3ModelCounts.
+func m3Config(scheme string) machine.ClusterConfig {
+	return machine.ClusterConfig{Quantum: 8, Scheme: scheme, Placement: "striped:64"}
 }
 
 // m3MicroRows runs one micro-workload under every scheme and renders one
@@ -222,11 +172,7 @@ func m3MicroRows(m m3Micro) [][]string {
 			panic(err)
 		}
 		mig, remote, local := m3ModelCounts(scheme, tr)
-		ch, err := m3RunChannel(scheme, lit)
-		if err != nil {
-			panic(fmt.Sprintf("sim: m3 %s/%s: %v", m.name, name, err))
-		}
-		tcp, err := m3RunTCP(name, lit)
+		ch, tcp, err := runBoth(m3Config(name), lit)
 		if err != nil {
 			panic(fmt.Sprintf("sim: m3 %s/%s: %v", m.name, name, err))
 		}
@@ -258,14 +204,8 @@ func m3MicroRows(m m3Micro) [][]string {
 func m3LitmusRows(lit machine.Litmus) [][]string {
 	var rows [][]string
 	for _, name := range m3Schemes {
-		scheme, err := machine.ParseScheme(name, m3Mesh())
-		if err != nil {
-			panic(err)
-		}
 		verdict := "sc+litmus ok"
-		if _, err := m3RunChannel(scheme, lit); err != nil {
-			verdict = err.Error()
-		} else if _, err := m3RunTCP(name, lit); err != nil {
+		if _, _, err := runBoth(m3Config(name), lit); err != nil {
 			verdict = err.Error()
 		}
 		rows = append(rows, stats.FormatRow(lit.Name, name, "-", "-", "-", "-", verdict))

@@ -37,6 +37,31 @@ func TestM3RuntimeMatchesModel(t *testing.T) {
 	}
 }
 
+// TestM4RuntimeMatchesModel is the acceptance test for the M4 experiment:
+// on every compiled SPLASH-2 stand-in, the runtime's migration / remote /
+// local / context-flit counters on the channel transport AND across a TCP
+// cluster must equal the §3 trace model's predictions exactly, for all
+// four decision schemes.
+func TestM4RuntimeMatchesModel(t *testing.T) {
+	p := SmallPlatform()
+	table := M4(p)
+	if table.NumRows() == 0 {
+		t.Fatal("M4 produced no rows")
+	}
+	schemes := make(map[string]bool)
+	for _, row := range table.Rows() {
+		schemes[row[1]] = true
+		if verdict := row[len(row)-1]; verdict != "exact" {
+			t.Errorf("%s/%s: %s", row[0], row[1], verdict)
+		}
+	}
+	for _, want := range m3Schemes {
+		if !schemes[want] {
+			t.Errorf("scheme %s missing from M4 rows", want)
+		}
+	}
+}
+
 // TestM3TableShape pins the header contract downstream tooling reads.
 func TestM3TableShape(t *testing.T) {
 	cs := M3Cells(SmallPlatform())

@@ -3,11 +3,9 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/placement"
 	"repro/internal/stats"
-	"repro/internal/transport"
 	"repro/internal/workload"
 	"repro/internal/wprog"
 )
@@ -48,70 +46,11 @@ func m4Placement() placement.Policy {
 	return placement.NewPageStriped(placement.DefaultPageBytes, m3Mesh().Cores())
 }
 
-// m4RunChannel executes the compiled workload on the channel transport,
-// SC-checks from the preload image, and runs the register-summary check.
-func m4RunChannel(scheme core.Scheme, c *wprog.Compiled) (*machine.Result, error) {
-	m, err := machine.New(machine.Config{
-		Mesh:      m3Mesh(),
-		Placement: m4Placement(),
-		Scheme:    scheme,
-		Quantum:   16,
-		LogEvents: true,
-	}, len(c.Threads))
-	if err != nil {
-		return nil, err
-	}
-	for _, pg := range c.Pages {
-		m.Preload(pg.Base, c.Mem[pg.Base], pg.Home)
-	}
-	res, err := m.Run(c.Threads)
-	if err != nil {
-		return nil, err
-	}
-	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
-		return nil, fmt.Errorf("channel transport: %v", err)
-	}
-	if err := c.Litmus().Check(m.Read, res.FinalRegs); err != nil {
-		return nil, fmt.Errorf("channel transport: %v", err)
-	}
-	return res, nil
-}
-
-// m4RunTCP executes the compiled workload on a two-node TCP-loopback
-// cluster (node endpoints hosted in-process), SC-checks, and runs the
-// register-summary check.
-func m4RunTCP(schemeName string, c *wprog.Compiled) (*machine.ClusterResult, error) {
-	mesh := m3Mesh()
-	man, err := transport.LocalManifest(2, mesh.Width(), mesh.Height())
-	if err != nil {
-		return nil, err
-	}
-	wait := machine.HostNodes(man)
-	res, err := machine.ClusterRun{
-		Manifest: man,
-		Config: machine.ClusterConfig{
-			Quantum:   16,
-			Scheme:    schemeName,
-			Placement: fmt.Sprintf("page-striped:%d", placement.DefaultPageBytes),
-			LogEvents: true,
-		},
-		Threads: c.Threads,
-		Mem:     c.Mem,
-	}.Run()
-	if nerr := wait(); err == nil {
-		err = nerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
-		return nil, fmt.Errorf("tcp transport: %v", err)
-	}
-	read := func(a uint32) uint32 { return res.Mem[a] }
-	if err := c.Litmus().Check(read, res.FinalRegs); err != nil {
-		return nil, fmt.Errorf("tcp transport: %v", err)
-	}
-	return res, nil
+// m4Config is the M4/M5 runtime configuration: the M3 platform with
+// page-striped placement at quantum 16.
+func m4Config(scheme string) machine.ClusterConfig {
+	return machine.ClusterConfig{Quantum: 16, Scheme: scheme,
+		Placement: fmt.Sprintf("page-striped:%d", placement.DefaultPageBytes)}
 }
 
 // m4Rows runs one compiled workload under every scheme and renders one row
@@ -133,15 +72,11 @@ func m4Rows(name string, cfg workload.Config, seed uint64) [][]string {
 			panic(fmt.Sprintf("sim: m4 %s/%s: %v", name, schemeName, err))
 		}
 		want := wprog.ModelCounts(model, scheme)
-		ch, err := m4RunChannel(scheme, c)
+		ch, tcp, err := runBoth(m4Config(schemeName), c.Litmus())
 		if err != nil {
 			panic(fmt.Sprintf("sim: m4 %s/%s: %v", name, schemeName, err))
 		}
-		tcp, err := m4RunTCP(schemeName, c)
-		if err != nil {
-			panic(fmt.Sprintf("sim: m4 %s/%s: %v", name, schemeName, err))
-		}
-		chC, tcpC := wprog.RuntimeCounts(ch), wprog.RuntimeCounts(&tcp.Result)
+		chC, tcpC := wprog.RuntimeCounts(ch), wprog.RuntimeCounts(tcp)
 		verdict := "exact"
 		if len(want.Diff(chC)) != 0 || len(want.Diff(tcpC)) != 0 {
 			verdict = "MISMATCH"

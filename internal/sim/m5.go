@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -63,19 +62,15 @@ func m5Rows(name string, cfg workload.Config, seed uint64) [][]string {
 			panic(fmt.Sprintf("sim: m5 %s/%s: %v", name, schemeName, err))
 		}
 		want := wprog.ModelCounts(model, scheme)
-		ch, chMem, err := m5RunChannel(scheme, c)
+		ch, tcp, err := runBoth(m4Config(schemeName), c.Litmus())
 		if err != nil {
 			panic(fmt.Sprintf("sim: m5 %s/%s: %v", name, schemeName, err))
 		}
-		tcp, err := m4RunTCP(schemeName, c)
-		if err != nil {
-			panic(fmt.Sprintf("sim: m5 %s/%s: %v", name, schemeName, err))
-		}
-		chC, tcpC := wprog.RuntimeCounts(ch), wprog.RuntimeCounts(&tcp.Result)
+		chC, tcpC := wprog.RuntimeCounts(ch), wprog.RuntimeCounts(tcp)
 		verdict := "exact"
 		if len(want.Diff(chC)) != 0 || len(want.Diff(tcpC)) != 0 {
 			verdict = "MISMATCH(model)"
-		} else if err := m5BitIdentical(c, ch, chMem, tcp); err != nil {
+		} else if err := m5BitIdentical(c, ch, tcp); err != nil {
 			verdict = "MISMATCH(transport)"
 		}
 		rows = append(rows, stats.FormatRow(name, schemeName,
@@ -88,40 +83,11 @@ func m5Rows(name string, cfg workload.Config, seed uint64) [][]string {
 	return rows
 }
 
-// m5RunChannel is m4RunChannel plus a memory-image snapshot for the
-// transport bit-identity check.
-func m5RunChannel(scheme core.Scheme, c *wprog.Compiled) (*machine.Result, map[uint32]uint32, error) {
-	m, err := machine.New(machine.Config{
-		Mesh:      m3Mesh(),
-		Placement: m4Placement(),
-		Scheme:    scheme,
-		Quantum:   16,
-		LogEvents: true,
-	}, len(c.Threads))
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, pg := range c.Pages {
-		m.Preload(pg.Base, c.Mem[pg.Base], pg.Home)
-	}
-	res, err := m.Run(c.Threads)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
-		return nil, nil, fmt.Errorf("channel transport: %v", err)
-	}
-	if err := c.Litmus().Check(m.Read, res.FinalRegs); err != nil {
-		return nil, nil, fmt.Errorf("channel transport: %v", err)
-	}
-	return res, m.MemImage(), nil
-}
-
 // m5BitIdentical demands the deterministic surfaces agree bit-for-bit
 // across transports: final registers, the full per-core metrics breakdown
 // (including lease counters), and — for single-writer workloads — the
 // final memory image.
-func m5BitIdentical(c *wprog.Compiled, ch *machine.Result, chMem map[uint32]uint32, tcp *machine.ClusterResult) error {
+func m5BitIdentical(c *wprog.Compiled, ch, tcp *machine.Result) error {
 	if len(ch.FinalRegs) != len(tcp.FinalRegs) {
 		return fmt.Errorf("final-reg thread counts differ: %d vs %d", len(ch.FinalRegs), len(tcp.FinalRegs))
 	}
@@ -142,11 +108,11 @@ func m5BitIdentical(c *wprog.Compiled, ch *machine.Result, chMem map[uint32]uint
 	if !c.Deterministic {
 		return nil
 	}
-	if len(chMem) != len(tcp.Mem) {
-		return fmt.Errorf("memory images differ in size: %d vs %d words", len(chMem), len(tcp.Mem))
+	if len(ch.Mem) != len(tcp.Mem) {
+		return fmt.Errorf("memory images differ in size: %d vs %d words", len(ch.Mem), len(tcp.Mem))
 	}
 	//em2:unordered-ok: set-equality check; which differing address is reported first is diagnostic only, the verdict is order-independent
-	for a, v := range chMem {
+	for a, v := range ch.Mem {
 		if tv, ok := tcp.Mem[a]; !ok || tv != v {
 			return fmt.Errorf("memory images differ at %#x: %#x vs %#x", a, v, tv)
 		}

@@ -70,7 +70,7 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 			n.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply { return transport.MemReply{} })
 			n.HandleJobs(stubJobs{reclaimed: retEvents})
 			n.Ready()
-			if err := n.SendLoadAck(transport.LoadAck{Node: 0}); err != nil {
+			if err := n.SendLoadAck(transport.JobAck{Node: 0}); err != nil {
 				return err
 			}
 			n.StartHeartbeat(5 * time.Millisecond)
@@ -157,7 +157,7 @@ func TestLoadAckSurfacesNodeError(t *testing.T) {
 			return
 		}
 		<-n.Loads()
-		n.SendLoadAck(transport.LoadAck{Node: 0, Err: "unknown scheme \"bogus\""})
+		n.SendLoadAck(transport.JobAck{Node: 0, Err: "unknown scheme \"bogus\""})
 		n.Close() // exit like a failed node process would
 	}()
 
@@ -196,7 +196,7 @@ func blobFrame(kind transport.FrameKind, v any) transport.Frame {
 var barrierCases = []barrierCase{
 	{"load", transport.FrameLoad,
 		func(node, round int) []transport.Frame {
-			return []transport.Frame{blobFrame(transport.FrameLoadAck, transport.LoadAck{Node: node})}
+			return []transport.Frame{blobFrame(transport.FrameLoadAck, transport.JobAck{Node: node})}
 		},
 		func(co *transport.Coordinator, round int, timeout time.Duration) error {
 			return co.Load(&transport.LoadSpec{NumThreads: 1}, timeout)

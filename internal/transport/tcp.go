@@ -151,17 +151,6 @@ type LoadSpec struct {
 	HeartbeatMillis int
 }
 
-// LoadAck confirms (or refuses) one node's LoadSpec installation. A node
-// that fails to build its part — bad scheme or placement name, undecodable
-// programs — reports the actual error here before exiting, so the
-// coordinator surfaces the message instead of a bare connection death. A
-// successful ack is sent after the node's data plane is open (Ready), so
-// awaiting all acks is also a readiness barrier.
-type LoadAck struct {
-	Node int
-	Err  string `json:",omitempty"`
-}
-
 // Heartbeat is a node's periodic liveness-and-metrics report: a sequence
 // number and the node's cumulative wire counters. It flows asynchronously
 // on the coordinator link — liveness is observed, not inferred from
@@ -219,7 +208,9 @@ type JobSpec struct {
 // coordinator must not inject the job's contexts until every node acked:
 // a migration can cross node links and arrive ahead of the coordinator's
 // own JobSubmit frame, and a context for a slot with no installed spec is
-// protocol corruption.
+// protocol corruption. A load is acked the same way, as the install of its
+// initial job (job 0): a node that cannot build its part reports the
+// actual error, and a success ack is sent once its data plane is open.
 type JobAck struct {
 	Job  int
 	Node int
@@ -737,7 +728,7 @@ func (n *Node) SendHalt(h HaltMsg) error { return n.sendCoord(FrameHalt, &h) }
 // after the node's data plane is open, or the actual failure message —
 // so the coordinator surfaces "bad scheme name" instead of a bare
 // connection death.
-func (n *Node) SendLoadAck(ack LoadAck) error { return n.sendCoord(FrameLoadAck, &ack) }
+func (n *Node) SendLoadAck(ack JobAck) error { return n.sendCoord(FrameLoadAck, &ack) }
 
 // SendCollectChunk streams one increment of the node's post-run state.
 // The node sends per-core chunks as it drains and a final Done chunk
@@ -1110,7 +1101,6 @@ func decodeJSON[T any](_ int, r *T, blob []byte) (bool, error) { return true, js
 // about one job) and the error the node sent, if any.
 type reply interface{ status() (job int, err string) }
 
-func (a LoadAck) status() (int, string)      { return 0, a.Err }
 func (a JobAck) status() (int, string)       { return a.Job, a.Err }
 func (r JobRetired) status() (int, string)   { return r.Job, r.Err }
 func (s NodeSample) status() (int, string)   { return 0, s.Err }
@@ -1180,12 +1170,12 @@ func gather[T reply](co *Coordinator, what string, job int, req FrameKind, body 
 }
 
 // Load broadcasts the run description to every node and gathers one
-// LoadAck per node: the barrier that turns a node's load failure into its
+// load ack per node: the barrier that turns a node's load failure into its
 // actual error message ("unknown scheme …") instead of a bare connection
 // death. A node acks success only once its data plane is open, so a nil
 // return also means every node is ready for injection.
 func (co *Coordinator) Load(spec *LoadSpec, timeout time.Duration) error {
-	_, err := gather(co, "load", 0, FrameLoad, spec, FrameLoadAck, decodeJSON[LoadAck], timeout)
+	_, err := gather(co, "load", 0, FrameLoad, spec, FrameLoadAck, decodeJSON[JobAck], timeout)
 	return err
 }
 

@@ -25,7 +25,7 @@
 // path at paper scale (64–256 cores, 8+ nodes): injection defers into the
 // per-node batch buffers and ships as one write per node (O(nodes)
 // coordinator writes, not O(threads) round trips); loading is acknowledged
-// per node (LoadAck carries the node's actual failure message); collection
+// per node (its JobAck carries the node's actual failure message); collection
 // streams incrementally (CollectChunk per core, then a Done aggregate) so
 // no single control blob scales with a node's core count; job retirement
 // is a barrier (JobDone → JobRetired) that reclaims the job's shard words

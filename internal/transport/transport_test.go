@@ -175,7 +175,7 @@ func TestTCPNodesExchange(t *testing.T) {
 				return transport.MemReply{Value: req.Addr + req.Arg + uint32(core)}
 			})
 			n.Ready()
-			if err := n.SendLoadAck(transport.LoadAck{Node: 0}); err != nil {
+			if err := n.SendLoadAck(transport.JobAck{Node: 0}); err != nil {
 				return err
 			}
 			select {
@@ -211,7 +211,7 @@ func TestTCPNodesExchange(t *testing.T) {
 			n.Prepare(spec.NumThreads)
 			n.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply { return transport.MemReply{} })
 			n.Ready()
-			if err := n.SendLoadAck(transport.LoadAck{Node: 1}); err != nil {
+			if err := n.SendLoadAck(transport.JobAck{Node: 1}); err != nil {
 				return err
 			}
 			rep, err := n.Remote(0, transport.MemRequest{Thread: 7, Op: transport.OpRead, Addr: 40, Arg: 2})

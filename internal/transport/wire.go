@@ -35,8 +35,9 @@ type FrameKind uint8
 // a node before its specs did), JobDone retires the job's slots, and
 // JobRetired confirms the retirement and carries back the job's reclaimed
 // shard events. LoadAck, Heartbeat and CollectChunk shard the coordinator's
-// control plane at scale: LoadAck surfaces a node's actual load error (or
-// readiness) instead of a bare connection death, Heartbeat streams node
+// control plane at scale: LoadAck (a JobAck for the load's initial job)
+// surfaces a node's actual load error (or readiness) instead of a bare
+// connection death, Heartbeat streams node
 // liveness and wire metrics asynchronously, and CollectChunk streams a
 // node's post-run state incrementally, one core at a time.
 const (

@@ -41,7 +41,7 @@ func compileScaleOcean(t *testing.T) *Compiled {
 
 // runScaleChannel executes the compiled workload on a single-process
 // 64-core channel machine — the reference the cluster must match.
-func runScaleChannel(t *testing.T, c *Compiled) (*machine.Machine, *machine.Result) {
+func runScaleChannel(t *testing.T, c *Compiled) *machine.Result {
 	t.Helper()
 	mesh := scaleMesh()
 	scheme, err := machine.ParseScheme("history:2", mesh)
@@ -68,13 +68,13 @@ func runScaleChannel(t *testing.T, c *Compiled) (*machine.Machine, *machine.Resu
 	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
 		t.Fatalf("channel: SC violation: %v", err)
 	}
-	return m, res
+	return res
 }
 
 // runScaleCluster executes the compiled workload on an 8-node cluster over
 // TCP loopback; start spawns each node (in-process goroutine or real
 // process, supplied by the caller).
-func runScaleCluster(t *testing.T, c *Compiled, start func(t *testing.T, man transport.Manifest) func() error) *machine.ClusterResult {
+func runScaleCluster(t *testing.T, c *Compiled, start func(t *testing.T, man transport.Manifest) func() error) *machine.Result {
 	t.Helper()
 	mesh := scaleMesh()
 	man, err := transport.LocalManifest(scaleNodes, mesh.Width(), mesh.Height())
@@ -117,9 +117,9 @@ func inProcessNodes(_ *testing.T, man transport.Manifest) func() error {
 // assertScaleIdentical is the acceptance comparison: final memory, final
 // registers and per-core metrics must be bit-identical between the
 // single-process channel run and the 8-node cluster run.
-func assertScaleIdentical(t *testing.T, m *machine.Machine, ch *machine.Result, tcp *machine.ClusterResult) {
+func assertScaleIdentical(t *testing.T, ch, tcp *machine.Result) {
 	t.Helper()
-	if !reflect.DeepEqual(m.MemImage(), tcp.Mem) {
+	if !reflect.DeepEqual(ch.Mem, tcp.Mem) {
 		t.Fatal("final memory images differ between channel and 8-node cluster")
 	}
 	if !reflect.DeepEqual(ch.FinalRegs, tcp.FinalRegs) {
@@ -138,9 +138,9 @@ func assertScaleIdentical(t *testing.T, m *machine.Machine, ch *machine.Result, 
 func TestScaleOcean64Core8Node(t *testing.T) {
 	t.Parallel()
 	c := compileScaleOcean(t)
-	m, ch := runScaleChannel(t, c)
+	ch := runScaleChannel(t, c)
 	tcp := runScaleCluster(t, c, inProcessNodes)
-	assertScaleIdentical(t, m, ch, tcp)
+	assertScaleIdentical(t, ch, tcp)
 
 	// The NetStats pin. The coordinator's whole conversation with each node
 	// is a handful of control writes: the load blob, one flush carrying all
@@ -179,7 +179,7 @@ func TestScaleSmokeEm2nodeBinaries(t *testing.T) {
 	}
 
 	c := compileScaleOcean(t)
-	m, ch := runScaleChannel(t, c)
+	ch := runScaleChannel(t, c)
 	tcp := runScaleCluster(t, c, func(t *testing.T, man transport.Manifest) func() error {
 		path := filepath.Join(t.TempDir(), "manifest.json")
 		if err := man.WriteFile(path); err != nil {
@@ -197,7 +197,7 @@ func TestScaleSmokeEm2nodeBinaries(t *testing.T) {
 		}
 		return nil
 	})
-	assertScaleIdentical(t, m, ch, tcp)
+	assertScaleIdentical(t, ch, tcp)
 }
 
 // repoRoot walks up from the package directory to the module root.

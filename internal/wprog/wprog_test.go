@@ -67,7 +67,7 @@ func parseScheme(t *testing.T, name string) core.Scheme {
 // runChannel executes the compiled workload on the in-process channel
 // transport, SC-checks the execution from the preload image, and runs the
 // register-summary check.
-func runChannel(t *testing.T, c *Compiled, scheme core.Scheme, place placement.Policy, guests int) (*machine.Machine, *machine.Result) {
+func runChannel(t *testing.T, c *Compiled, scheme core.Scheme, place placement.Policy, guests int) *machine.Result {
 	t.Helper()
 	m, err := machine.New(machine.Config{
 		Mesh:          testMesh(),
@@ -97,12 +97,12 @@ func runChannel(t *testing.T, c *Compiled, scheme core.Scheme, place placement.P
 	if err := lit.Check(m.Read, res.FinalRegs); err != nil {
 		t.Fatalf("%s channel: %v", c.Name, err)
 	}
-	return m, res
+	return res
 }
 
 // runTCP executes the compiled workload on a two-node TCP-loopback cluster
 // (node endpoints in-process), SC-checks, and runs the summary check.
-func runTCP(t *testing.T, c *Compiled, schemeName, placeName string, guests int) *machine.ClusterResult {
+func runTCP(t *testing.T, c *Compiled, schemeName, placeName string, guests int) *machine.Result {
 	t.Helper()
 	mesh := testMesh()
 	man, err := transport.LocalManifest(2, mesh.Width(), mesh.Height())
@@ -280,7 +280,7 @@ func TestRuntimeMatchesModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, res := runChannel(t, c, scheme, placement.NewPageStriped(PageBytes, mesh.Cores()), 0)
+				res := runChannel(t, c, scheme, placement.NewPageStriped(PageBytes, mesh.Cores()), 0)
 				if diff := ModelCounts(model, scheme).Diff(RuntimeCounts(res)); len(diff) != 0 {
 					t.Errorf("runtime diverged from model: %v", diff)
 				}
@@ -302,7 +302,7 @@ func TestRuntimeFirstTouchBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res := runChannel(t, c, scheme, placement.NewFirstTouch(PageBytes), 0)
+	res := runChannel(t, c, scheme, placement.NewFirstTouch(PageBytes), 0)
 	if diff := ModelCounts(model, scheme).Diff(RuntimeCounts(res)); len(diff) != 0 {
 		t.Errorf("first-touch runtime diverged from model: %v", diff)
 	}
@@ -334,11 +334,11 @@ func TestDifferentialChannelVsTCP(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, ch := runChannel(t, c, scheme, place, 0)
+				ch := runChannel(t, c, scheme, place, 0)
 				tcp := runTCP(t, c, schemeName, fmt.Sprintf("page-striped:%d", PageBytes), 0)
 
-				if !reflect.DeepEqual(m.MemImage(), tcp.Mem) {
-					t.Fatalf("final memory images differ:\n channel %v\n tcp     %v", m.MemImage(), tcp.Mem)
+				if !reflect.DeepEqual(ch.Mem, tcp.Mem) {
+					t.Fatalf("final memory images differ:\n channel %v\n tcp     %v", ch.Mem, tcp.Mem)
 				}
 				if !reflect.DeepEqual(ch.FinalRegs, tcp.FinalRegs) {
 					t.Fatalf("final registers differ:\n channel %v\n tcp     %v", ch.FinalRegs, tcp.FinalRegs)
@@ -350,7 +350,7 @@ func TestDifferentialChannelVsTCP(t *testing.T) {
 				if diff := want.Diff(RuntimeCounts(ch)); len(diff) != 0 {
 					t.Errorf("channel diverged from model: %v", diff)
 				}
-				if diff := want.Diff(RuntimeCounts(&tcp.Result)); len(diff) != 0 {
+				if diff := want.Diff(RuntimeCounts(tcp)); len(diff) != 0 {
 					t.Errorf("tcp diverged from model: %v", diff)
 				}
 			})
