@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/isa"
 	"repro/internal/placement"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -139,9 +137,9 @@ func WithWireStats(w io.Writer) NodeOption {
 	return func(o *nodeOptions) { o.wireStats = w }
 }
 
-// defaultHeartbeatMillis is the node liveness-report interval when the
-// LoadSpec does not set one.
-const defaultHeartbeatMillis = 500
+// heartbeatInterval is how often a node reports liveness to the
+// coordinator.
+const heartbeatInterval = 500 * time.Millisecond
 
 // ServeNode runs one cluster node to completion: listen per the manifest,
 // receive the coordinator's LoadSpec, open its thread slots and install
@@ -226,11 +224,7 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	if err := tn.SendLoadAck(transport.JobAck{Node: idx}); err != nil {
 		return err
 	}
-	hb := spec.HeartbeatMillis
-	if hb <= 0 {
-		hb = defaultHeartbeatMillis
-	}
-	tn.StartHeartbeat(time.Duration(hb) * time.Millisecond)
+	tn.StartHeartbeat(heartbeatInterval)
 
 	select {
 	case <-tn.CollectRequests():
@@ -340,16 +334,6 @@ func heartbeatSummary(co *transport.Coordinator, nodes int) string {
 	return "last heartbeats: " + strings.Join(parts, ", ")
 }
 
-// mergePerCore concatenates per-node core metrics and sorts by core id.
-func mergePerCore(reps []transport.CollectReply) []transport.CoreMetrics {
-	var out []transport.CoreMetrics
-	for _, rep := range reps {
-		out = append(out, rep.PerCore...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Core < out[j].Core })
-	return out
-}
-
 // ClusterRun is the spec for one cluster run. Manifest names the node
 // processes, Config the run parameters, Threads and Mem the program and
 // initial image; Sink optionally receives the run's telemetry.
@@ -414,7 +398,6 @@ func (r ClusterRun) run(job *transport.JobSpec) (*Result, error) {
 		return nil, err
 	}
 	defer co.Close()
-	defer co.Shutdown()
 
 	// The ack barrier turns a node's load failure into its actual error
 	// message and guarantees every node installed the programs and opened
@@ -430,48 +413,13 @@ func (r ClusterRun) run(job *transport.JobSpec) (*Result, error) {
 	}, cfg.Timeout); err != nil {
 		return nil, err
 	}
-	// Injections coalesce per node; the whole run's initial contexts reach
-	// each node in one batch write.
-	if err := Inject(threads, man.W*man.H, co.InjectEviction); err != nil {
-		return nil, err
-	}
-	if err := co.Flush(); err != nil {
-		return nil, err
-	}
-	halts, err := AwaitHalts(co.Halts(), co.Deaths(), len(threads), cfg.Timeout)
+	res, maxCycles, err := runClosed(co, threads, man.Cores(), cfg.Timeout)
 	if errors.Is(err, errHaltTimeout) {
 		err = fmt.Errorf("%w (%s)", err, heartbeatSummary(co, len(man.Nodes)))
 	}
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Mem: make(map[uint32]uint32)}
-	res.FinalRegs = make([][isa.NumRegs]uint32, len(threads))
-	var maxCycles uint64
-	for t, h := range halts {
-		res.FinalRegs[t] = h.Regs
-		maxCycles = max(maxCycles, h.Cycles)
-	}
-
-	reps, err := co.Collect(cfg.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	for _, rep := range reps {
-		res.addCounters(rep.Counters)
-		res.Events = append(res.Events, rep.Events...)
-		//em2:unordered-ok: node memory images are address-disjoint (single-home invariant); merge order cannot matter
-		for a, v := range rep.Mem {
-			res.Mem[a] = v
-		}
-		res.NodeCounters = append(res.NodeCounters, rep.Counters)
-		if rep.Net != nil {
-			res.NodeNet = append(res.NodeNet, *rep.Net)
-		} else {
-			res.NodeNet = append(res.NodeNet, transport.NetStats{})
-		}
-	}
-	res.PerCore = mergePerCore(reps)
 	res.CoordNet = co.NetStats()
 	if r.Sink != nil {
 		// One deterministic end-of-run sample: the collected counters with

@@ -108,7 +108,6 @@ func TestServeNodeShutdownWithoutRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co.Shutdown()
 	co.Close()
 	awaitNodes(t, wait, 10*time.Second)
 }

@@ -154,7 +154,7 @@ func TestServeNodeReportsLoadError(t *testing.T) {
 	if !strings.Contains(err.Error(), "bogus-scheme") {
 		t.Fatalf("load failure surfaced as %q, want the node's actual parse error", err)
 	}
-	co.Shutdown()
+	co.Close()
 	select {
 	case err := <-done:
 		if err == nil {
@@ -250,7 +250,6 @@ func TestServeNodeAbortsMidRun(t *testing.T) {
 	}
 	//em2:wallclock-ok: failure-injection test gives the remote context real time to start spinning
 	time.Sleep(300 * time.Millisecond)
-	co.Shutdown()
 	co.Close()
 
 	select {

@@ -28,6 +28,7 @@
 package machine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -147,8 +148,7 @@ func (r *Result) addCounters(c map[string]int64) {
 type Machine struct {
 	cfg        Config
 	numThreads int
-	tr         *transport.Local
-	part       *Part
+	pl         localPlane
 	ran        bool
 }
 
@@ -158,30 +158,24 @@ func New(cfg Config, numThreads int) (*Machine, error) {
 	if numThreads <= 0 {
 		return nil, fmt.Errorf("machine: need at least one thread")
 	}
-	tr := transport.NewLocal(cfg.Mesh.Cores(), numThreads)
-	part, err := NewPart(cfg, tr) // NewPart validates cfg
+	pl, err := newLocalPlane(cfg, numThreads)
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{
-		cfg:        cfg,
-		numThreads: numThreads,
-		tr:         tr,
-		part:       part,
-	}, nil
+	return &Machine{cfg: cfg, numThreads: numThreads, pl: pl}, nil
 }
 
 // Preload stores a word at addr before the run, binding the page to `by`
 // under first-touch placements — the runtime equivalent of the parallel
 // initialization phase of the trace workloads.
 func (m *Machine) Preload(addr uint32, value uint32, by geom.CoreID) {
-	m.part.Preload(addr, value, by)
+	m.pl.part.Preload(addr, value, by)
 }
 
 // Read returns the current word at addr without logging an event, for
 // inspecting results after a run.
 func (m *Machine) Read(addr uint32) uint32 {
-	v, _ := m.part.Peek(addr)
+	v, _ := m.pl.part.Peek(addr)
 	return v
 }
 
@@ -200,62 +194,87 @@ func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
 
 	// A machine runs once, even when its threads are rejected.
 	m.ran = true
-	halts := make(chan transport.HaltMsg, len(threads))
-	if err := m.part.Start(threads, func(h transport.HaltMsg) { halts <- h }); err != nil {
+	if err := m.pl.part.Start(threads, m.pl.halt); err != nil {
 		return nil, err
 	}
-	// The in-process eviction inbox is sized for every thread, so the
-	// injection cannot fail.
-	_ = Inject(threads, m.cfg.Mesh.Cores(), m.tr.SendEviction) //em2:errsink-ok: local eviction send is infallible by inbox sizing
-	hs, err := AwaitHalts(halts, nil, len(threads), 0)
-	m.part.Stop()
-	if err != nil {
-		return nil, err
-	}
-
-	coll := m.part.Collect(0)
-	res := &Result{PerCore: coll.PerCore, FinalRegs: make([][isa.NumRegs]uint32, len(threads)), Mem: coll.Mem}
-	res.addCounters(coll.Counters)
-	for t, h := range hs {
-		res.FinalRegs[t] = h.Regs
-	}
-	if m.cfg.LogEvents {
-		res.Events = coll.Events
-	}
-	return res, nil
+	defer m.pl.Close()
+	res, _, err := runClosed(&m.pl, threads, m.cfg.Mesh.Cores(), 0)
+	return res, err
 }
 
-// Inject places every thread's initial context at its native core —
-// thread t at core t mod cores — through send on the eviction network,
-// where a native arrival is always accepted. Every way of running a
-// program (Machine.Run, ClusterRun.Run, both serve backends) starts its
-// threads here.
-func Inject(threads []ThreadSpec, cores int, send func(geom.CoreID, transport.Context) error) error {
+// runClosed is every closed-loop run once its job is installed on pl: run
+// the threads, collect, and assemble the Result; it also returns the
+// slowest thread's halt cycle. One reply (the channel machine) is used as
+// is. Node counters and wire traffic come only from replies with wire
+// counters, so a channel run leaves them empty.
+func runClosed(pl Plane, threads []ThreadSpec, cores int, timeout time.Duration) (*Result, uint64, error) {
+	halts, err := RunThreads(pl, threads, cores, timeout)
+	if err != nil {
+		return nil, 0, err
+	}
+	reps, err := pl.Collect(timeout)
+	if err != nil {
+		return nil, 0, err
+	}
+	res := &Result{FinalRegs: make([][isa.NumRegs]uint32, len(threads))}
+	var maxCycles uint64
+	for t, h := range halts {
+		res.FinalRegs[t] = h.Regs
+		maxCycles = max(maxCycles, h.Cycles)
+	}
+	for i, rep := range reps {
+		res.addCounters(rep.Counters)
+		if i == 0 {
+			res.PerCore, res.Events, res.Mem = rep.PerCore, rep.Events, rep.Mem
+		} else {
+			res.PerCore = append(res.PerCore, rep.PerCore...)
+			res.Events = append(res.Events, rep.Events...)
+			maps.Copy(res.Mem, rep.Mem) // node images are address-disjoint (single-home invariant)
+		}
+		if rep.Net != nil {
+			res.NodeCounters = append(res.NodeCounters, rep.Counters)
+			res.NodeNet = append(res.NodeNet, *rep.Net)
+		}
+	}
+	if len(reps) > 1 {
+		slices.SortFunc(res.PerCore, func(a, b transport.CoreMetrics) int { return cmp.Compare(a.Core, b.Core) })
+	}
+	return res, maxCycles, nil
+}
+
+// RunThreads places every thread's initial context at its native core —
+// thread t at core t mod cores — on pl's eviction network, where a native
+// arrival is always accepted, flushes, and gathers one HALT per thread.
+// Every way of running a program runs its installed threads here.
+func RunThreads(pl Plane, threads []ThreadSpec, cores int, timeout time.Duration) ([]transport.HaltMsg, error) {
 	for t := range threads {
 		ctx := transport.Context{Thread: int32(t), Native: int32(t % cores)}
 		//em2:unordered-ok: each register lands in its own array slot; the filled Regs array is order-independent
 		for r, v := range threads[t].Regs {
 			ctx.Arch.Regs[r] = v
 		}
-		if err := send(geom.CoreID(t%cores), ctx); err != nil {
-			return err
+		if err := pl.InjectEviction(geom.CoreID(t%cores), ctx); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	if err := pl.Flush(); err != nil {
+		return nil, err
+	}
+	return awaitHalts(pl.Halts(), pl.Deaths(), len(threads), timeout)
 }
 
-// errHaltTimeout marks an AwaitHalts that ran out of time, so a cluster
+// errHaltTimeout marks an awaitHalts that ran out of time, so a cluster
 // driver can annotate it with the nodes' last heartbeats.
 var errHaltTimeout = errors.New("machine: timed out")
 
-// AwaitHalts gathers one HALT for each of threads 0..n-1 from halts and
+// awaitHalts gathers one HALT for each of threads 0..n-1 from halts and
 // returns them indexed by thread. It tracks exactly which threads halted:
 // a halt counter alone would let a duplicate (or fabricated) report for
 // one thread mask another that never finished, completing the run with
 // garbage registers. deaths (nil in process) fails the wait as soon as a
 // node is lost — every context and shard it held is gone — instead of
 // letting the run bleed out into its timeout; timeout <= 0 waits forever.
-func AwaitHalts(halts <-chan transport.HaltMsg, deaths <-chan error, n int, timeout time.Duration) ([]transport.HaltMsg, error) {
+func awaitHalts(halts <-chan transport.HaltMsg, deaths <-chan error, n int, timeout time.Duration) ([]transport.HaltMsg, error) {
 	var expired <-chan time.Time
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)

@@ -1,8 +1,8 @@
 // Package noc models the on-chip interconnect of the Execution Migration
 // Machine: the six-virtual-network channel layout the paper requires for
 // deadlock freedom, an analytical latency/traffic model used by the EM² cost
-// engine and the DP oracle, and an event-driven mesh network simulator used
-// by the integration tests and the concurrent runtime.
+// engine and the DP oracle, and an event-driven mesh network simulator that
+// core.NetworkReplay drives (no binary or experiment runs it).
 //
 // The paper's channel accounting (§3): migrations need two virtual networks
 // (one for ordinary guest-bound migrations, one for evictions travelling to

@@ -9,9 +9,10 @@ import (
 	"repro/internal/transport"
 )
 
-// Backend executes admitted jobs on a live machine. The two
-// implementations — channel transport in-process, TCP cluster — must be
-// observationally identical: same halts, same counters, same events.
+// Backend executes admitted jobs on a live machine. Its one
+// implementation drives a machine.Plane, so the in-process channel
+// transport and a TCP cluster are observationally identical: same halts,
+// same counters, same events.
 type Backend interface {
 	// RunJob installs the job in the slot pool, injects its contexts, and
 	// returns one halt per slot (indexed by slot) once every thread
@@ -26,8 +27,8 @@ type Backend interface {
 	// Sample implements transport.MetricsSource over the live machine: a
 	// non-destructive snapshot of per-core counters and gauges, mergeable
 	// across nodes. At serve's sampling points (arrival-processing
-	// boundaries) both backends return identical deterministic fields; only
-	// the advisory Net differs.
+	// boundaries) both transports return identical deterministic fields;
+	// only the advisory Net differs.
 	Sample() (transport.Sample, error)
 	// Drain ends the run and returns the machine's merged post-run state.
 	Drain(timeout time.Duration) (*DrainResult, error)
@@ -45,7 +46,7 @@ type DrainResult struct {
 	MemWords int // words still held by the machine's shards at drain
 }
 
-// machineConfig builds the runtime config both backends validate against.
+// machineConfig builds the runtime config both transports validate against.
 // GuestContexts is pinned to 0 (unlimited): capacity evictions depend on
 // arrival timing between unrelated cores, which would make job latencies
 // schedule-dependent and break the byte-identical report guarantee.
@@ -54,14 +55,11 @@ func machineConfig(cfg Config) (machine.Config, error) {
 		Resolve(geom.NewMesh(cfg.W, cfg.H))
 }
 
-// localBackend serves jobs on an in-process Part over the channel
-// transport — the single-machine shape of the server.
-type localBackend struct {
-	tr      *transport.Local
-	part    *machine.Part
-	halts   chan transport.HaltMsg
-	cores   int
-	stopped bool
+// backend serves jobs through a machine's control plane, whose Sample
+// and Close it shares.
+type backend struct {
+	machine.Plane
+	cores int
 }
 
 // NewLocalBackend builds the in-process backend: one Part spanning the
@@ -76,61 +74,11 @@ func NewLocalBackend(cfg Config) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := transport.NewLocal(mcfg.Mesh.Cores(), slots)
-	part, err := machine.NewPart(mcfg, tr)
+	pl, err := machine.NewLocalPlane(mcfg, slots)
 	if err != nil {
 		return nil, err
 	}
-	b := &localBackend{tr: tr, part: part, halts: make(chan transport.HaltMsg, slots), cores: mcfg.Mesh.Cores()}
-	if err := part.StartServe(slots, func(h transport.HaltMsg) { b.halts <- h }); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-func (b *localBackend) RunJob(j *Job, timeout time.Duration) ([]transport.HaltMsg, error) {
-	spec, err := machine.BuildJob(j.Index, j.Slots(), j.Threads, j.Mem)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.part.ApplyJob(spec); err != nil {
-		return nil, err
-	}
-	if err := machine.Inject(j.Threads, b.cores, b.tr.SendEviction); err != nil {
-		return nil, err
-	}
-	return machine.AwaitHalts(b.halts, nil, len(j.Threads), timeout)
-}
-
-func (b *localBackend) Retire(j *Job, _ time.Duration) ([]machine.Event, error) {
-	return b.part.RetireJob(j.done()).Events, nil
-}
-
-func (b *localBackend) Sample() (transport.Sample, error) {
-	return b.part.Sample()
-}
-
-func (b *localBackend) Drain(time.Duration) (*DrainResult, error) {
-	b.stop()
-	coll := b.part.Collect(0)
-	return &DrainResult{Events: coll.Events, Counters: coll.Counters, MemWords: len(coll.Mem)}, nil
-}
-
-func (b *localBackend) stop() {
-	if !b.stopped {
-		b.stopped = true
-		b.part.Stop()
-	}
-}
-
-func (b *localBackend) Close() { b.stop() }
-
-// clusterBackend serves jobs on an already-listening TCP cluster through
-// the coordinator's job control plane.
-type clusterBackend struct {
-	co     *transport.Coordinator
-	cores  int
-	closed bool
+	return &backend{Plane: pl, cores: mcfg.Mesh.Cores()}, nil
 }
 
 // NewClusterBackend dials the cluster in the manifest and loads every node
@@ -166,46 +114,35 @@ func NewClusterBackend(cfg Config, man transport.Manifest) (Backend, error) {
 		NumThreads: slots,
 	}, cfg.Timeout)
 	if err != nil {
-		co.Shutdown()
 		co.Close()
 		return nil, err
 	}
-	return &clusterBackend{co: co, cores: man.Cores()}, nil
+	return &backend{Plane: co, cores: man.Cores()}, nil
 }
 
-func (b *clusterBackend) RunJob(j *Job, timeout time.Duration) ([]transport.HaltMsg, error) {
+func (b *backend) RunJob(j *Job, timeout time.Duration) ([]transport.HaltMsg, error) {
 	spec, err := machine.BuildJob(j.Index, j.Slots(), j.Threads, j.Mem)
 	if err != nil {
 		return nil, err
 	}
-	// The ack barrier: every node has installed the job's specs and memory
+	// The ack barrier: every part has installed the job's specs and memory
 	// before any context is injected, so a context can never race its own
 	// program across nodes.
-	if err := b.co.SubmitJob(spec, timeout); err != nil {
+	if err := b.SubmitJob(spec, timeout); err != nil {
 		return nil, err
 	}
-	if err := machine.Inject(j.Threads, b.cores, b.co.InjectEviction); err != nil {
-		return nil, err
-	}
-	if err := b.co.Flush(); err != nil {
-		return nil, err
-	}
-	return machine.AwaitHalts(b.co.Halts(), b.co.Deaths(), len(j.Threads), timeout)
+	return machine.RunThreads(b.Plane, j.Threads, b.cores, timeout)
 }
 
-func (b *clusterBackend) Retire(j *Job, timeout time.Duration) ([]machine.Event, error) {
-	// The retirement barrier: every node cleared the slots and reclaimed
-	// the region before the coordinator may reuse either. The merged reply
-	// carries the job's events from whichever nodes homed its addresses.
-	return b.co.RetireJob(j.done(), timeout)
+func (b *backend) Retire(j *Job, timeout time.Duration) ([]machine.Event, error) {
+	// The retirement barrier: every part cleared the slots and reclaimed
+	// the region before the slots or region may be reused. The merged reply
+	// carries the job's events from whichever parts homed its addresses.
+	return b.RetireJob(j.done(), timeout)
 }
 
-func (b *clusterBackend) Sample() (transport.Sample, error) {
-	return b.co.Sample()
-}
-
-func (b *clusterBackend) Drain(timeout time.Duration) (*DrainResult, error) {
-	reps, err := b.co.Collect(timeout)
+func (b *backend) Drain(timeout time.Duration) (*DrainResult, error) {
+	reps, err := b.Collect(timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -219,12 +156,4 @@ func (b *clusterBackend) Drain(timeout time.Duration) (*DrainResult, error) {
 		}
 	}
 	return dr, nil
-}
-
-func (b *clusterBackend) Close() {
-	if !b.closed {
-		b.closed = true
-		b.co.Shutdown()
-		b.co.Close()
-	}
 }

@@ -32,7 +32,7 @@ const baseReg = 29
 const RegionCount = 1024
 
 // regionPool hands out private job regions, lowest-free first (a
-// deterministic order, so both backends build byte-identical jobs).
+// deterministic order, so both transports build byte-identical jobs).
 type regionPool struct {
 	used [RegionCount]bool
 	live int

@@ -11,7 +11,7 @@ import (
 )
 
 // MemorySink accumulates the encoded stream in memory — the sink behind
-// the golden and differential tests (two backends' streams are compared
+// the golden and differential tests (two transports' streams are compared
 // with bytes.Equal) and em2soak's stream capture.
 type MemorySink struct {
 	buf []byte

@@ -15,8 +15,8 @@
 //
 // The deterministic encoding deliberately excludes transport.Sample.Net:
 // wire-level batching differs across transports (and is zero in-process),
-// so NetStats stay on the advisory surfaces — heartbeats, -wire-stats,
-// timeout diagnostics — and never enter a stream two backends must agree
+// so NetStats stay on the advisory surfaces — sample replies, -wire-stats,
+// collect replies — and never enter a stream two transports must agree
 // on.
 package telemetry
 
@@ -101,16 +101,6 @@ func AppendPoint(b []byte, p *Point) []byte {
 	b = append(b, ' ')
 	b = strconv.AppendUint(b, p.Cycle, 10)
 	return append(b, '\n')
-}
-
-// EmitPoint encodes p into buf (reused across calls) and writes the line
-// to sink. It returns the buffer for reuse.
-func EmitPoint(sink Sink, buf []byte, p *Point) ([]byte, error) {
-	buf = AppendPoint(buf[:0], p)
-	if len(buf) == 0 {
-		return buf, nil
-	}
-	return buf, sink.Write(buf)
 }
 
 // appendEscaped appends s with line-protocol escaping: commas and spaces

@@ -137,7 +137,7 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 		t.Fatalf("assembled aggregates: counters=%+v net=%+v", rep.Counters, rep.Net)
 	}
 
-	co.Shutdown()
+	co.Close()
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}

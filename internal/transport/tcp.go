@@ -145,26 +145,15 @@ type LoadSpec struct {
 	LogEvents     bool
 	NumThreads    int
 	Job           *JobSpec `json:",omitempty"`
-	// HeartbeatMillis sets the node's liveness/metrics heartbeat interval;
-	// 0 selects the default (500 ms). Heartbeats are advisory — they never
-	// enter any deterministic result surface.
-	HeartbeatMillis int
 }
 
-// Heartbeat is a node's periodic liveness-and-metrics report: a sequence
-// number and the node's cumulative wire counters. It flows asynchronously
-// on the coordinator link — liveness is observed, not inferred from
-// connection death — and is purely advisory: nothing deterministic may
-// depend on it.
+// Heartbeat is a node's periodic liveness report: a sequence number. It
+// flows asynchronously on the coordinator link — liveness is observed, not
+// inferred from connection death — and is purely advisory: it annotates
+// timeout errors and nothing deterministic may depend on it.
 type Heartbeat struct {
 	Node int
 	Seq  uint64
-	Net  NetStats
-	// Sample piggybacks the node's latest metrics Sample on the liveness
-	// frame when a sampler is installed (HandleSample) — the cheap way to
-	// watch a live run without a sample round trip. Advisory like the rest
-	// of the heartbeat: wall-clock paced, so never deterministic.
-	Sample *Sample `json:",omitempty"`
 }
 
 // NodeSample is one node's reply to a FrameSampleReq: its metrics Sample,
@@ -495,7 +484,7 @@ func (n *Node) finishRead(c *conn, err error, fromCoordinator, identified bool) 
 		}
 	default: // io error: EOF or closed connection
 		if fromCoordinator {
-			// The coordinator dropping without a Shutdown frame means the
+			// The coordinator dropping without a shutdown frame means the
 			// driver died: release the node rather than wedging forever.
 			n.triggerShutdown()
 		}
@@ -529,6 +518,8 @@ func (n *Node) failPending(c *conn) {
 // arrives on its own connection — and are delivered into per-core inboxes
 // whose capacity (one slot per thread) guarantees the push never blocks;
 // that is the wire credit that keeps every socket drained even mid-batch.
+// A data-plane frame for a core this node does not own (two nodes on
+// skewed manifests) is protocol corruption and fails the link.
 func (n *Node) handleFrame(c *conn, f Frame) error {
 	switch f.Kind {
 	case FrameLoad:
@@ -541,6 +532,9 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 		default:
 		}
 	case FrameMigration, FrameEviction:
+		if !n.Owns(f.Dst) {
+			return malformedf("context for core %d, which node %d does not own", f.Dst, n.idx)
+		}
 		ctx, err := DecodeContext(f.Ctx)
 		if err != nil {
 			// A context that does not decode is protocol corruption (version
@@ -550,12 +544,11 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 		if !n.waitReady() {
 			return errStopRead
 		}
-		if f.Kind == FrameMigration {
-			n.inbox(n.mig, f.Dst) <- ctx
-		} else {
-			n.inbox(n.evict, f.Dst) <- ctx
-		}
+		return n.sendCtx(f.Kind, f.Dst, ctx) // an owned core: a local inbox push
 	case FrameMemReq:
+		if !n.Owns(f.Dst) {
+			return malformedf("memory request for core %d, which node %d does not own", f.Dst, n.idx)
+		}
 		if !n.waitReady() {
 			return errStopRead
 		}
@@ -676,14 +669,6 @@ func (n *Node) triggerShutdown() {
 	}
 }
 
-func (n *Node) inbox(m map[geom.CoreID]chan Context, core geom.CoreID) chan Context {
-	ch := m[core]
-	if ch == nil {
-		panic(fmt.Sprintf("transport: node %d received message for core %d it does not own", n.idx, core))
-	}
-	return ch
-}
-
 // Prepare sizes the per-core inboxes for a run of numThreads threads. It
 // must be called (by the machine part) before Ready.
 func (n *Node) Prepare(numThreads int) {
@@ -717,7 +702,7 @@ func (n *Node) Loads() <-chan *LoadSpec { return n.loads }
 // CollectRequests signals the coordinator's Collect broadcast.
 func (n *Node) CollectRequests() <-chan struct{} { return n.collects }
 
-// ShutdownC closes when the coordinator sends Shutdown.
+// ShutdownC closes when the coordinator's Close sends the shutdown frame.
 func (n *Node) ShutdownC() <-chan struct{} { return n.shutdown }
 
 // SendHalt reports a thread HALT to the coordinator. Control frames flush
@@ -745,11 +730,11 @@ func (n *Node) sendCoord(kind FrameKind, v any) error {
 	return c.sendJSON(kind, v)
 }
 
-// StartHeartbeat begins the node's liveness/metrics heartbeat toward the
-// coordinator: every interval, a Heartbeat frame with an increasing Seq
-// and the node's cumulative wire counters. The goroutine exits on
-// shutdown or the first send error (a dead coordinator link needs no
-// further liveness reports). Idempotent; interval must be positive.
+// StartHeartbeat begins the node's liveness heartbeat toward the
+// coordinator: every interval, a Heartbeat frame with an increasing Seq.
+// The goroutine exits on shutdown or the first send error (a dead
+// coordinator link needs no further liveness reports). Idempotent;
+// interval must be positive.
 func (n *Node) StartHeartbeat(interval time.Duration) {
 	n.hbOnce.Do(func() {
 		go func() {
@@ -763,12 +748,7 @@ func (n *Node) StartHeartbeat(interval time.Duration) {
 				case <-tick.C:
 				}
 				seq++
-				hb := Heartbeat{Node: n.idx, Seq: seq, Net: n.nc.snapshot()}
-				if n.sampleH != nil {
-					s := n.sampleH()
-					hb.Sample = &s
-				}
-				if err := n.sendCoord(FrameHeartbeat, &hb); err != nil {
+				if err := n.sendCoord(FrameHeartbeat, &Heartbeat{Node: n.idx, Seq: seq}); err != nil {
 					return
 				}
 			}
@@ -812,10 +792,10 @@ func (n *Node) Owns(core geom.CoreID) bool {
 }
 
 // MigrationIn implements Transport; Prepare must have run.
-func (n *Node) MigrationIn(core geom.CoreID) <-chan Context { return n.inbox(n.mig, core) }
+func (n *Node) MigrationIn(core geom.CoreID) <-chan Context { return n.mig[core] }
 
 // EvictionIn implements Transport; Prepare must have run.
-func (n *Node) EvictionIn(core geom.CoreID) <-chan Context { return n.inbox(n.evict, core) }
+func (n *Node) EvictionIn(core geom.CoreID) <-chan Context { return n.evict[core] }
 
 // HandleMem implements Transport.
 func (n *Node) HandleMem(h func(core geom.CoreID, req MemRequest) MemReply) { n.handler = h }
@@ -870,9 +850,9 @@ func (n *Node) SendEviction(dst geom.CoreID, c Context) error {
 func (n *Node) sendCtx(kind FrameKind, dst geom.CoreID, c Context) error {
 	if n.Owns(dst) {
 		if kind == FrameMigration {
-			n.inbox(n.mig, dst) <- c
+			n.mig[dst] <- c
 		} else {
-			n.inbox(n.evict, dst) <- c
+			n.evict[dst] <- c
 		}
 		return nil
 	}
@@ -968,7 +948,7 @@ type Coordinator struct {
 	nc     netCounters
 	halts  chan HaltMsg
 	deaths chan error
-	down   atomic.Bool // set by Shutdown/Close: reader exits become orderly
+	down   atomic.Bool // set by Close: reader exits become orderly
 
 	gmu     sync.Mutex   // one gather at a time, so each node's pending order is its request order
 	mu      sync.Mutex   // guards pending
@@ -979,14 +959,13 @@ type Coordinator struct {
 }
 
 // HeartbeatInfo is the coordinator's last-seen liveness record for one
-// node: the heartbeat's sequence number and wire counters, stamped with
-// the coordinator-side arrival time. Advisory only — it feeds timeout
+// node: the heartbeat's sequence number, stamped with the
+// coordinator-side arrival time. Advisory only — it feeds timeout
 // diagnostics, never results.
 type HeartbeatInfo struct {
 	Node int
 	Seq  uint64
 	At   time.Time
-	Net  NetStats
 }
 
 // DialCluster connects to every node in the manifest, retrying until
@@ -1038,7 +1017,7 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 				return malformedf("heartbeat: %v", err)
 			}
 			co.hbMu.Lock()
-			co.hb[node] = HeartbeatInfo{Node: node, Seq: hb.Seq, At: time.Now(), Net: hb.Net}
+			co.hb[node] = HeartbeatInfo{Node: node, Seq: hb.Seq, At: time.Now()}
 			co.hbMu.Unlock()
 		default:
 			return malformedf("unexpected frame kind %d on the coordinator link", f.Kind)
@@ -1326,22 +1305,16 @@ func mergeChunk(node int, rep *CollectReply, blob []byte) (bool, error) {
 	return ch.Done, nil
 }
 
-// Shutdown tells every node to exit. Connection teardowns that follow are
-// orderly: they no longer count as node deaths.
-func (co *Coordinator) Shutdown() {
-	co.down.Store(true)
+// Close tells every node to exit, then drops the coordinator's
+// connections. The teardowns that follow are orderly: they no longer
+// count as node deaths. Idempotent.
+func (co *Coordinator) Close() {
+	if co.down.Swap(true) {
+		return
+	}
 	for _, c := range co.conns {
 		if c != nil {
 			c.w.appendKind(FrameShutdown, 0)
-		}
-	}
-}
-
-// Close drops the coordinator's connections.
-func (co *Coordinator) Close() {
-	co.down.Store(true)
-	for _, c := range co.conns {
-		if c != nil {
 			c.c.Close()
 		}
 	}

@@ -314,24 +314,6 @@ type Sample struct {
 	Net NetStats `json:"net"`
 }
 
-// Total returns the counter-wise sum over PerCore.
-func (s *Sample) Total() CoreMetrics {
-	var t CoreMetrics
-	for _, m := range s.PerCore {
-		t = t.Add(m)
-	}
-	return t
-}
-
-// GuestTotal returns the summed guest gauge.
-func (s *Sample) GuestTotal() int64 {
-	var t int64
-	for _, g := range s.Guests {
-		t += g
-	}
-	return t
-}
-
 // Merge folds o into s: per-core rows are concatenated (callers re-sort by
 // Core once all endpoints are merged), gauges and wire counters sum. The
 // coordinator uses it to assemble a cluster-wide sample from per-node

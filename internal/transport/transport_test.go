@@ -267,7 +267,7 @@ func TestTCPNodesExchange(t *testing.T) {
 	if got := reps[0].Counters["instructions"] + reps[1].Counters["instructions"]; got != 42 {
 		t.Fatalf("summed counters = %d", got)
 	}
-	co.Shutdown()
+	co.Close()
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)

@@ -38,7 +38,7 @@ type FrameKind uint8
 // control plane at scale: LoadAck (a JobAck for the load's initial job)
 // surfaces a node's actual load error (or readiness) instead of a bare
 // connection death, Heartbeat streams node
-// liveness and wire metrics asynchronously, and CollectChunk streams a
+// liveness asynchronously, and CollectChunk streams a
 // node's post-run state incrementally, one core at a time.
 const (
 	FrameHello FrameKind = iota + 1

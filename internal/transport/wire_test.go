@@ -162,7 +162,9 @@ func dialNode(t *testing.T, man transport.Manifest, idx int, from int32) net.Con
 
 // TestNodeRejectsMalformedBatch: a node fed a structurally corrupt batch on
 // an identified connection must shut down with an error — visibly and
-// promptly — rather than hang the run or honor a hostile length.
+// promptly — rather than hang the run or honor a hostile length. So must a
+// ready node sent a well-formed data-plane frame for a core another node
+// owns (two nodes started on skewed manifests), instead of panicking.
 func TestNodeRejectsMalformedBatch(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -205,6 +207,13 @@ func TestNodeRejectsMalformedBatch(t *testing.T) {
 			b[6] = transport.WireVersion
 			return append(b, frame...)
 		}},
+		{"migration for a foreign core", func() []byte {
+			return transport.AppendBatch(nil, []transport.Frame{{Kind: transport.FrameMigration, Dst: 1, Ctx: sampleContext().EncodeWire()}})
+		}},
+		{"memory request for a foreign core", func() []byte {
+			return transport.AppendBatch(nil, []transport.Frame{{Kind: transport.FrameMemReq, Dst: 1, ID: 1,
+				Req: transport.MemRequest{Thread: 0, Op: transport.OpRead, Addr: 4}}})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -218,6 +227,12 @@ func TestNodeRejectsMalformedBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer n.Close()
+			n.Prepare(1)
+			n.HandleMem(func(core geom.CoreID, _ transport.MemRequest) transport.MemReply {
+				t.Errorf("memory handler reached for core %d", core)
+				return transport.MemReply{}
+			})
+			n.Ready()
 			c := dialNode(t, man, 0, 1)
 			defer c.Close()
 			if _, err := c.Write(tc.send()); err != nil {
